@@ -632,30 +632,29 @@ let experiment_x4 () =
 let experiment_ab1 () =
   section "AB1  Engine ablations (design choices called out in DESIGN.md)";
   let d = db ~suppliers:400 ~parts_per:10 in
-  let cfg_with f =
-    let c = Engine.Exec.default_config () in
-    f c
+  (* [f] sets the ablated field on a fresh default configuration *)
+  let run_cfg ?(f = Fun.id) q =
+    let _, ms, _ =
+      run_timed ~config:(f (Engine.Exec.default_config ())) d hosts78 q
+    in
+    ms
   in
-  let run_cfg cfg q = let _, ms, _ = run_timed ~config:cfg d hosts78 q in ms in
   (* duplicate elimination: sort vs hash *)
   let qd = parse "SELECT DISTINCT P.PNAME, P.COLOR FROM PARTS P" in
   Printf.printf "distinct implementation (4k parts):\n";
-  Printf.printf "  sort-based : %8.2f ms\n"
-    (run_cfg (Engine.Exec.default_config ()) qd);
+  Printf.printf "  sort-based : %8.2f ms\n" (run_cfg qd);
   Printf.printf "  hash-based : %8.2f ms\n"
-    (run_cfg
-       (cfg_with (fun c -> { c with Engine.Exec.distinct_impl = Engine.Exec.Hash_distinct }))
-       qd);
+    (run_cfg qd ~f:(fun c ->
+         { c with Engine.Exec.distinct_impl = Engine.Exec.Stream_hash }));
   (* join implementation: hash equi-join vs filtered product *)
   let qj =
     parse "SELECT S.SNO, P.PNO FROM SUPPLIER S, PARTS P WHERE S.SNO = P.SNO"
   in
   Printf.printf "join implementation (400 x 4k):\n";
-  Printf.printf "  hash join  : %8.2f ms\n" (run_cfg (Engine.Exec.default_config ()) qj);
+  Printf.printf "  hash join  : %8.2f ms\n" (run_cfg qj);
   Printf.printf "  product    : %8.2f ms\n"
-    (run_cfg
-       (cfg_with (fun c -> { c with Engine.Exec.join_impl = Engine.Exec.Nested_join }))
-       qj);
+    (run_cfg qj ~f:(fun c ->
+         { c with Engine.Exec.join_impl = Engine.Exec.Nested_join }));
   (* EXISTS implementation: naive nested loop vs hash index probe *)
   let qe =
     parse
@@ -663,11 +662,10 @@ let experiment_ab1 () =
        WHERE P.SNO = S.SNO AND P.COLOR = 'RED')"
   in
   Printf.printf "EXISTS implementation (400 outer, 4k inner):\n";
-  Printf.printf "  nested loop: %8.2f ms\n" (run_cfg (Engine.Exec.default_config ()) qe);
+  Printf.printf "  nested loop: %8.2f ms\n" (run_cfg qe);
   Printf.printf "  hash index : %8.2f ms\n"
-    (run_cfg
-       (cfg_with (fun c -> { c with Engine.Exec.exists_impl = Engine.Exec.Indexed_exists }))
-       qe)
+    (run_cfg qe ~f:(fun c ->
+         { c with Engine.Exec.exists_impl = Engine.Exec.Indexed_exists }))
 
 (* ---------------------------------------------------------------- W1 *)
 
@@ -1641,7 +1639,6 @@ let experiment_distinct_scale () =
   let grp_q = parse Workload.Datagen.group_query in
   let impl_name = function
     | Engine.Exec.Sort_distinct -> "sort"
-    | Engine.Exec.Hash_distinct -> "hash-materializing"
     | Engine.Exec.Stream_hash -> "stream-hash"
     | Engine.Exec.Stream_sorted -> "stream-sorted"
     | Engine.Exec.Stream_elided -> "elided"
@@ -2083,11 +2080,11 @@ let experiment_sort_scale () =
   header ();
   let cov_elided =
     run_one db_key q_cov "elided" ~sort_impl:Engine.Exec.Elided_sort
-      ~join_impl:(Engine.Exec.default_config ()).Engine.Exec.join_impl
+      ~join_impl:Engine.Exec.Hash_join
   in
   let cov_sort =
     run_one db_key q_cov "sort" ~sort_impl:Engine.Exec.Materialize_sort
-      ~join_impl:(Engine.Exec.default_config ()).Engine.Exec.join_impl
+      ~join_impl:Engine.Exec.Hash_join
   in
   if not (list_equal cov_elided cov_sort) then
     failwith
@@ -2132,16 +2129,11 @@ let experiment_sort_scale () =
   let q_pair = parse Workload.Datagen.pair_query in
   Printf.printf "\nmerge: %s  (%d rows per side, key order)\n"
     Workload.Datagen.pair_query rows;
+  let pair_plan = Optimizer.Physical.choose ~database:pair_db pair_cat q_pair in
   let hash_impl =
-    (Optimizer.Join_plan.choose ~database:pair_db pair_cat q_pair)
-      .Optimizer.Join_plan.impl
+    (Option.get pair_plan.Optimizer.Physical.join).Optimizer.Join_plan.impl
   in
-  let pair_choice =
-    let config =
-      { (Engine.Exec.default_config ()) with Engine.Exec.join_impl = hash_impl }
-    in
-    Optimizer.Order_plan.choose ~database:pair_db ~config pair_cat q_pair
-  in
+  let pair_choice = pair_plan.Optimizer.Physical.order in
   if pair_choice.Optimizer.Order_plan.merge_joins < 1 then
     failwith "SORT_SCALE: planner failed to certify the merge join";
   if pair_choice.Optimizer.Order_plan.impl <> Engine.Exec.Elided_sort then

@@ -116,6 +116,8 @@ let wrap f =
   | Fd.Derive.Unknown_table t -> Printf.eprintf "unknown table: %s\n" t; 1
   | Fd.Derive.Unknown_column a ->
     Printf.eprintf "unknown column: %s\n" (Schema.Attr.to_string a); 1
+  | Engine.Operator.Certificate_violation rule ->
+    Printf.eprintf "certificate violation: %s\n" rule; 1
 
 (* ---- analyze ---- *)
 
@@ -277,38 +279,45 @@ let run_cmd =
                    over NULL are false, connectives are classical). The two \
                    agree on null-free data.")
   in
+  (* each strategy flag is auto (the certified plan) or a forced ablation *)
   let distinct_arg =
-    Arg.(value & opt string "sort"
+    Arg.(value
+         & opt
+             (enum
+                [ ("auto", None);
+                  ("sort", Some Engine.Exec.Sort_distinct);
+                  ("stream-hash", Some Engine.Exec.Stream_hash);
+                  ("stream-sorted", Some Engine.Exec.Stream_sorted) ])
+             None
          & info [ "distinct-impl" ] ~docv:"IMPL"
-             ~doc:"Duplicate-elimination strategy: sort (materializing \
-                   sort, default), hash (materializing hash set), \
-                   stream-hash (streaming hash set), stream-sorted \
-                   (one-row state when the verified physical order covers \
-                   the projection, hash fallback otherwise), elided \
-                   (pass-through; refused unless Algorithm 1 certifies the \
-                   query duplicate-free), or auto (planner picks elided > \
-                   sorted > hash and narrates why).")
+             ~doc:"Duplicate-elimination strategy: auto (the planner \
+                   picks elided > sorted > hash and narrates why), or a \
+                   forced sort (full sort, then one-row dedup: the 1994 \
+                   baseline), stream-hash or stream-sorted.")
   in
   let join_arg =
-    Arg.(value & opt string "hash"
+    Arg.(value
+         & opt
+             (enum
+                [ ("auto", None);
+                  ("nested", Some Engine.Exec.Nested_join);
+                  ("hash", Some Engine.Exec.Hash_join) ])
+             None
          & info [ "join-impl" ] ~docv:"IMPL"
-             ~doc:"Join strategy: nested (filter over the block-nested \
-                   product, the ablation baseline), hash (streaming hash \
-                   joins in FROM order, default), or auto (cost-based \
-                   planner picks the join order, certifies unique builds \
-                   via Algorithm 1, and narrates why).")
+             ~doc:"Join strategy: auto (cost-based order with certified \
+                   unique builds, narrated), or a forced nested (filtered \
+                   product) or hash (FROM-order hash joins).")
   in
   let sort_arg =
-    Arg.(value & opt string "sort"
+    Arg.(value
+         & opt (enum [ ("auto", false); ("sort", true) ]) false
          & info [ "sort-impl" ] ~docv:"IMPL"
-             ~doc:"ORDER BY strategy: sort (materializing stable sort, \
-                   default), elided (pass-through; refused unless the \
-                   order-dependency planner certifies the stream already \
-                   sorted), or auto (planner elides when certified, sorts \
-                   otherwise, certifies merge joins, and narrates why).")
+             ~doc:"ORDER BY strategy: auto (elide the sort when order \
+                   dependencies certify the stream sorted under the \
+                   strategies that run, certify merge joins, narrated), or \
+                   sort (always materialize the sort).")
   in
-  let run sql ddl views sets suppliers limit logic distinct_impl join_impl
-      sort_impl =
+  let run sql ddl views sets suppliers limit logic distinct join force_sort =
     wrap (fun () ->
         let logic =
           match Sqlval.Logic_mode.of_string logic with
@@ -328,80 +337,25 @@ let run_cmd =
         let q =
           Uniqueness.Views.expand_query cat (Sql.Parser.parse_query sql)
         in
-        let distinct_impl =
-          match distinct_impl with
-          | "sort" -> Engine.Exec.Sort_distinct
-          | "hash" -> Engine.Exec.Hash_distinct
-          | "stream-hash" -> Engine.Exec.Stream_hash
-          | "stream-sorted" -> Engine.Exec.Stream_sorted
-          | "elided" ->
-            (* the engine trusts this setting blindly, so the certificate
-               check lives here: no Algorithm 1 YES, no elision *)
-            let certified =
-              match q with
-              | Sql.Ast.Spec spec when spec.Sql.Ast.distinct = Sql.Ast.Distinct ->
-                Uniqueness.Algorithm1.distinct_is_redundant cat spec
-              | _ -> false
-            in
-            if not certified then
-              failwith
-                "--distinct-impl elided: Algorithm 1 did not certify this \
-                 query duplicate-free (use auto to fall back safely)";
-            Engine.Exec.Stream_elided
-          | "auto" ->
-            let choice = Optimizer.Distinct_plan.choose ~database:db cat q in
-            Format.printf "distinct strategy: %s — %s@."
-              choice.Optimizer.Distinct_plan.name
-              choice.Optimizer.Distinct_plan.reason;
-            choice.Optimizer.Distinct_plan.impl
-          | s -> failwith ("--distinct-impl expects sort, hash, stream-hash, \
-                            stream-sorted, elided or auto, got " ^ s)
-        in
-        let join_impl =
-          match join_impl with
-          | "nested" -> Engine.Exec.Nested_join
-          | "hash" -> Engine.Exec.Hash_join
-          | "auto" ->
-            let choice = Optimizer.Join_plan.choose ~database:db cat q in
-            Format.printf "join strategy: %s — %s@."
-              choice.Optimizer.Join_plan.name choice.Optimizer.Join_plan.reason;
-            choice.Optimizer.Join_plan.impl
-          | s -> failwith ("--join-impl expects nested, hash or auto, got " ^ s)
-        in
-        let sort_impl, join_impl =
-          match sort_impl with
-          | "sort" -> (Engine.Exec.Materialize_sort, join_impl)
-          | "elided" | "auto" ->
-            (* the engine trusts the flag blindly, so the certificate check
-               lives in Order_plan: probe under the configuration that will
-               actually run (join strategy changes arrival order) *)
-            let config =
-              { (Engine.Exec.default_config ()) with
-                Engine.Exec.logic; distinct_impl; join_impl }
-            in
-            let choice =
-              Optimizer.Order_plan.choose ~database:db ~config cat q
-            in
-            if sort_impl = "elided"
-               && Sql.Ast.(match q with
-                           | Spec s -> s.order_by <> []
-                           | Setop _ -> false)
-               && choice.Optimizer.Order_plan.impl <> Engine.Exec.Elided_sort
-            then
-              failwith
-                "--sort-impl elided: the order-dependency planner did not \
-                 certify the stream sorted on the requested keys (use auto \
-                 to fall back safely)";
-            Format.printf "order strategy: %s — %s@."
-              choice.Optimizer.Order_plan.name
-              choice.Optimizer.Order_plan.reason;
-            ( choice.Optimizer.Order_plan.impl,
-              choice.Optimizer.Order_plan.join_impl )
-          | s -> failwith ("--sort-impl expects sort, elided or auto, got " ^ s)
-        in
+        let p = Optimizer.Physical.choose ~database:db ?distinct ?join cat q in
+        Option.iter
+          (fun (c : Optimizer.Distinct_plan.choice) ->
+            Format.printf "distinct strategy: %s — %s@." c.name c.reason)
+          p.Optimizer.Physical.distinct;
+        Option.iter
+          (fun (c : Optimizer.Join_plan.choice) ->
+            Format.printf "join strategy: %s — %s@." c.name c.reason)
+          p.Optimizer.Physical.join;
+        let cfg = { p.Optimizer.Physical.config with Engine.Exec.logic } in
         let cfg =
-          { (Engine.Exec.default_config ()) with
-            Engine.Exec.logic; distinct_impl; join_impl; sort_impl }
+          if force_sort then
+            { cfg with Engine.Exec.sort_impl = Engine.Exec.Materialize_sort }
+          else begin
+            let c = p.Optimizer.Physical.order in
+            Format.printf "order strategy: %s — %s@." c.Optimizer.Order_plan.name
+              c.Optimizer.Order_plan.reason;
+            cfg
+          end
         in
         let r = Engine.Exec.run_query ~config:cfg db ~hosts q in
         let truncated =

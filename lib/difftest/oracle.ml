@@ -465,9 +465,9 @@ let cache_consistency (c : Case.t) =
 
 (* Operator-agreement oracle: every duplicate-elimination strategy is one
    implementation of the same bag function, so on DISTINCT-forced runs the
-   materializing baseline (sort), the hash variants, and the sort-aware
-   streaming variant must return bag-equal results on every instance. The
-   planner half additionally pins the elision certificate: Distinct_plan
+   sort baseline, the streaming hash set, and the sort-aware streaming
+   variant must return bag-equal results on every instance. The planner
+   half additionally pins the elision certificate: Distinct_plan
    may pick the pass-through only when Algorithm 1 independently answers
    YES, and whatever it picks must match the baseline. *)
 let distinct_strategies ?cache (c : Case.t) =
@@ -504,8 +504,7 @@ let distinct_strategies ?cache (c : Case.t) =
                 (fun acc (name, impl) ->
                   match acc with Some _ -> acc | None -> check name impl)
                 None
-                [ ("hash-distinct", Engine.Exec.Hash_distinct);
-                  ("stream-hash", Engine.Exec.Stream_hash);
+                [ ("stream-hash", Engine.Exec.Stream_hash);
                   ("stream-sorted", Engine.Exec.Stream_sorted) ]))
     in
     let planner =
@@ -651,7 +650,10 @@ let join_strategies ?cache (c : Case.t) =
    the data level: when [Order_plan] certifies an elision, the stream
    reaching the elided sort must itself arrive sorted on the requested
    keys under [Value.compare_total] — the strongest independent check of
-   the ordering claim, trusting no planner code. *)
+   the ordering claim, trusting no planner code. It then judges the plan
+   [uniqsql run] executes: [Optimizer.Physical]'s configuration must be
+   list-equal to itself with a materializing sort, and bag-equal to the
+   default configuration. *)
 let order_strategies (c : Case.t) =
   let skip why =
     [ { oracle = "order/strategies"; verdict = Skip why };
@@ -765,6 +767,34 @@ let order_strategies (c : Case.t) =
                              list-equal to FROM-order hash joins"
                             i)))
        in
+       let composed db hosts i oq =
+         let p = Optimizer.Physical.choose ~database:db cat oq in
+         let config = p.Optimizer.Physical.config in
+         let run_with config =
+           Engine.Exec.run_query
+             ~config:{ config with Engine.Exec.stats = Engine.Stats.create () }
+             db ~hosts oq
+         in
+         let planned = run_with config in
+         let fail what =
+           Some
+             (Printf.sprintf "instance %d: composed plan (%s) is not %s" i
+                p.Optimizer.Physical.order.Optimizer.Order_plan.name what)
+         in
+         if
+           not
+             (equal_lists planned
+                (run_with
+                   { config with
+                     Engine.Exec.sort_impl = Engine.Exec.Materialize_sort }))
+         then fail "list-equal to itself with a materializing sort"
+         else if
+           not
+             (Engine.Relation.equal_bags
+                (Engine.Exec.run_query db ~hosts oq) planned)
+         then fail "bag-equal to the default configuration"
+         else None
+       in
        let planner =
          guard (fun () ->
              for_variants (fun db hosts i keys ->
@@ -774,7 +804,7 @@ let order_strategies (c : Case.t) =
                  in
                  if
                    choice.Optimizer.Order_plan.impl <> Engine.Exec.Elided_sort
-                 then None
+                 then composed db hosts i oq
                  else begin
                    (* positions of the keys among the select items — each
                       non-star item contributes exactly one output column *)
@@ -805,7 +835,8 @@ let order_strategies (c : Case.t) =
                        cmp x y <= 0 && sorted rest
                      | _ -> true
                    in
-                   if sorted elided.Engine.Relation.rows then None
+                   if sorted elided.Engine.Relation.rows then
+                     composed db hosts i oq
                    else
                      Some
                        (Printf.sprintf

@@ -3,7 +3,6 @@ module Truth = Sqlval.Truth
 
 type distinct_impl =
   | Sort_distinct
-  | Hash_distinct
   | Stream_hash
   | Stream_sorted
   | Stream_elided
@@ -390,45 +389,15 @@ let compile ?config db ~hosts plan : Operator.t =
 
   and exec plan : Relation.t = Operator.to_relation (compile_node plan)
 
-  (* Duplicate elimination over the projected stream. The two materializing
-     strategies predate the operator pipeline and are kept for ablations;
-     the three [Stream_*] strategies are the paper's cost spectrum. *)
+  (* Duplicate elimination over the projected stream. The 1994-era
+     baseline sorts on every column, which makes the one-row window legal. *)
   and distinct (op : Operator.t) : Operator.t =
-    let schema = op.Operator.schema in
     match cfg.distinct_impl with
     | Sort_distinct ->
-      (* output is fully sorted, so downstream order is all columns *)
-      Operator.of_lazy ~order:(Schema.Relschema.attrs schema) schema (fun () ->
-          let rows = Operator.to_rows op in
-          let n = List.length rows in
-          Stats.record_dedup stats ~strategy:"sort-unique" ~state:n;
-          stats.Stats.dedup_rows_in <- stats.Stats.dedup_rows_in + n;
-          let out = Relation.dedup_sorted ~tick:tick_compare (sort_counting rows) in
-          stats.Stats.dedup_rows_out <-
-            stats.Stats.dedup_rows_out + List.length out;
-          out)
-    | Hash_distinct ->
-      Operator.of_lazy ~order:op.Operator.order schema (fun () ->
-          let rows = Operator.to_rows op in
-          let seen = Relation.Row_tbl.create (max 16 (List.length rows)) in
-          Stats.record_dedup stats ~strategy:"hash-distinct" ~state:0;
-          stats.Stats.dedup_rows_in <- stats.Stats.dedup_rows_in + List.length rows;
-          let out =
-            List.filter
-              (fun row ->
-                stats.Stats.hash_probes <- stats.Stats.hash_probes + 1;
-                if Relation.Row_tbl.mem seen row then false
-                else begin
-                  Relation.Row_tbl.add seen row ();
-                  true
-                end)
-              rows
-          in
-          stats.Stats.dedup_state_peak <-
-            max stats.Stats.dedup_state_peak (Relation.Row_tbl.length seen);
-          stats.Stats.dedup_rows_out <-
-            stats.Stats.dedup_rows_out + List.length out;
-          out)
+      let sorted =
+        Operator.sort ~stats (Schema.Relschema.attrs op.Operator.schema) op
+      in
+      Option.get (Operator.sorted_unique ~stats sorted)
     | Stream_hash -> Operator.hash_unique ~stats op
     | Stream_sorted ->
       (match Operator.sorted_unique ~stats op with
@@ -809,7 +778,7 @@ let compile ?config db ~hosts plan : Operator.t =
         let ga = groups sa and gb = groups sb in
         let rec merge ga gb =
           match ga, gb with
-          | [], _ -> if kind = `Intersect then [] else []
+          | [], _ -> []
           | rest, [] -> if kind = `Intersect then [] else rest
           | (ra', ja) :: ta, (rb', jb) :: tb ->
             tick_compare ();
@@ -818,28 +787,16 @@ let compile ?config db ~hosts plan : Operator.t =
               if kind = `Intersect then merge ta gb else (ra', ja) :: merge ta gb
             else if c > 0 then merge ga tb
             else
-              (* INTERSECT: min(j, k); INTERSECT DISTINCT: 1 if both present.
-                 EXCEPT ALL: max(j − k, 0); EXCEPT DISTINCT: present in the
-                 left and absent from the right — a single right match
-                 removes the row entirely. *)
               let m =
-                match kind, d with
-                | `Intersect, Sql.Ast.All -> min ja jb
-                | `Intersect, Sql.Ast.Distinct -> if ja > 0 && jb > 0 then 1 else 0
-                | `Except, Sql.Ast.All -> max (ja - jb) 0
-                | `Except, Sql.Ast.Distinct -> if jb = 0 then 1 else 0
+                match kind with
+                | `Intersect -> min ja jb
+                | `Except -> max (ja - jb) 0
               in
               let rest = merge ta tb in
               if m > 0 then (ra', m) :: rest else rest
         in
-        let merged = merge ga gb in
         let rows =
-          List.concat_map
-            (fun (r, n) ->
-              match d with
-              | Sql.Ast.Distinct -> [ r ]
-              | Sql.Ast.All -> List.init n (fun _ -> r))
-            merged
+          List.concat_map (fun (r, n) -> List.init n (fun _ -> r)) (merge ga gb)
         in
         stats.Stats.rows_output <- stats.Stats.rows_output + List.length rows;
         rows)
@@ -877,11 +834,7 @@ let sorted_covers db q =
 
 (* Probe for the order planner: compile (never execute) the stream feeding
    a query's ORDER BY and report the requested sort keys plus the stream's
-   verified order provenance at that point. [config] must match the
-   configuration the query will actually run under — join strategy and
-   DISTINCT implementation both change the stream's arrival order, and a
-   certificate issued against one configuration is not transferable to
-   another. *)
+   verified order provenance at that point, under [config]'s strategies. *)
 let order_stream ?config db q =
   match Relalg.Plan.of_query (Database.catalog db) q with
   | Relalg.Plan.Sort (keys, sub) ->

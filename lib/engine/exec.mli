@@ -8,19 +8,19 @@
     plan therefore never executes it — the planner compiles purely to
     inspect order provenance ({!distinct_stream}).
 
-    Duplicate elimination comes in five flavors: two materializing
-    strategies kept for ablations ([Sort_distinct], the 1994-era default
-    whose sort is the cost the paper's optimization removes, and
-    [Hash_distinct]), and three streaming strategies forming the paper's
-    cost spectrum ([Stream_hash], [Stream_sorted], [Stream_elided]).
+    Duplicate elimination comes in four flavors, all built from the
+    {!Operator} set: [Sort_distinct], the 1994-era default whose sort is
+    the cost the paper's optimization removes, and three streaming
+    strategies forming the paper's cost spectrum ([Stream_hash],
+    [Stream_sorted], [Stream_elided]).
     [EXISTS] subqueries run as correlated nested loops with early exit,
     resolving free column references against enclosing query blocks
     (innermost first). *)
 
 type distinct_impl =
   | Sort_distinct
-      (** materialize, O(n log n) sort, adjacent-duplicate removal *)
-  | Hash_distinct  (** materialize, hash set keyed by whole rows *)
+      (** {!Operator.sort} on every column, then {!Operator.sorted_unique}:
+          O(n log n) materializing sort, one-row dedup window *)
   | Stream_hash
       (** streaming {!Operator.hash_unique}: O(distinct rows) state *)
   | Stream_sorted
@@ -50,9 +50,9 @@ type join_step = {
   js_leaf : int;  (** index into the FROM-order flattened product leaves *)
   js_unique_build : bool;
       (** certificate that the build join columns cover a candidate key of
-          the (filtered) leaf; the engine does NOT re-check it — provide
-          only with an Algorithm 1 / FD-closure YES in hand (see
-          [Optimizer.Join_plan]) *)
+          the (filtered) leaf — provide only with an Algorithm 1 /
+          FD-closure YES in hand (see [Optimizer.Join_plan]); a build key
+          collision raises {!Operator.Certificate_violation} *)
   js_merge : bool;
       (** certificate that both inputs' verified stream orders cover the
           step's join keys pairwise, so the streaming {!Operator.merge_join}
@@ -173,12 +173,9 @@ val sorted_covers : Database.t -> Sql.Ast.query -> bool
 
 (** Requested sort keys, schema, and verified order of the stream feeding
     the query's [ORDER BY], or [None] when the query has no [Sort] node.
-    Pure: compiles but never executes. [config] must match the
-    configuration the query will actually run under — join strategy and
-    DISTINCT implementation both change the stream's arrival order, and an
-    elision certificate issued against one configuration is not
-    transferable to another (pass a copy with fresh [stats]: compiling
-    narrates strategy choices into the config's stats). *)
+    Pure: compiles but never executes, though it narrates into [config]'s
+    stats. The join and DISTINCT strategies shape the order, so probe
+    under the configuration that will run ([Optimizer.Physical] does). *)
 val order_stream :
   ?config:config ->
   Database.t ->

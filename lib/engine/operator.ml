@@ -133,14 +133,17 @@ let join_key ~null_equal row idxs =
   if (not null_equal) && List.exists Value.is_null vals then None
   else Some (Relation.key_of_values vals)
 
+exception Certificate_violation of string
+
 let hash_join ?(tick = no_op) ~stats ?(unique_build = false) ~probe_key
     ~build_key probe build =
   let schema = Schema.Relschema.product probe.schema build.schema in
   (* The build side is drained exactly once, on the first probe pull —
      compiling the pipeline stays pure. Unique mode stores one flat row per
      key (the planner certified the build join columns cover a candidate
-     key, so a bucket can never hold two rows) and each matching probe
-     early-exits with that row instead of walking a list. *)
+     key) and each matching probe early-exits with that row instead of
+     walking a list. A second build row on a key means the certificate
+     was wrong: fail loudly rather than drop the row. *)
   let table = ref None in
   let force_table () =
     match !table with
@@ -156,11 +159,13 @@ let hash_join ?(tick = no_op) ~stats ?(unique_build = false) ~probe_key
           stats.Stats.join_build_rows <- stats.Stats.join_build_rows + 1;
           (match join_key ~null_equal:false row build_key with
            | None -> ()
+           | Some k when unique_build ->
+             if Hashtbl.mem tbl k then
+               raise (Certificate_violation "unique-build");
+             Hashtbl.add tbl k [ row ]
            | Some k ->
-             if unique_build then Hashtbl.replace tbl k [ row ]
-             else
-               Hashtbl.replace tbl k
-                 (row :: Option.value ~default:[] (Hashtbl.find_opt tbl k)));
+             Hashtbl.replace tbl k
+               (row :: Option.value ~default:[] (Hashtbl.find_opt tbl k)));
           drain ()
       in
       drain ();

@@ -93,15 +93,19 @@ val product : ?tick:(unit -> unit) -> t -> t -> t
     attributes. Join keys use WHERE-equality semantics: a NULL key column
     matches nothing on either side. *)
 
+(** A planner certificate turned out false on the data; the argument
+    names the rule that caught it (["unique-build"]). *)
+exception Certificate_violation of string
+
 (** Equi-join [probe ⋈ build]; output schema is the product
     [probe × build] with rows [probe_row @ build_row]. [probe_key] /
     [build_key] are column indices into the respective schemas (parallel
     lists, one entry per equality). With [~unique_build:true] the table
     stores one flat row per key instead of a bucket list and every
     matching probe early-exits with that single row — sound only when the
-    build join columns cover a candidate key of the build input; the
-    certificate is the caller's to provide (see [Optimizer.Join_plan]),
-    not this module's to check. Counts {!Stats.t.join_build_rows},
+    build join columns cover a candidate key of the build input (see
+    [Optimizer.Join_plan]); a second build row on a key raises
+    {!Certificate_violation} ["unique-build"]. Counts {!Stats.t.join_build_rows},
     {!Stats.t.join_probe_rows}, {!Stats.t.unique_builds} and
     {!Stats.t.probe_early_exits}; [tick] fires once per output row. *)
 val hash_join :

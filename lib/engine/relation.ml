@@ -53,20 +53,6 @@ end)
 let key_of_values vs = String.concat "\x00" (List.map Value.to_string vs)
 let key_of_row (r : row) = key_of_values (Array.to_list r)
 
-let dedup_sorted ?(tick = fun () -> ()) rows =
-  match rows with
-  | [] -> []
-  | first :: rest ->
-    let out, _ =
-      List.fold_left
-        (fun (acc, prev) r ->
-          tick ();
-          if compare_rows prev r = 0 then (acc, prev) else (r :: acc, r))
-        ([ first ], first)
-        rest
-    in
-    List.rev out
-
 let sort_rows ?(tick = fun () -> ()) rows =
   List.sort
     (fun a b ->

@@ -38,10 +38,6 @@ val key_of_values : Sqlval.Value.t list -> string
 
 val key_of_row : row -> string
 
-(** Remove adjacent duplicates from a list sorted by {!compare_rows};
-    [tick] counts one call per row-to-row comparison. *)
-val dedup_sorted : ?tick:(unit -> unit) -> row list -> row list
-
 (** Multiset equality: same rows with the same multiplicities. *)
 val equal_bags : t -> t -> bool
 

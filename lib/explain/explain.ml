@@ -47,9 +47,12 @@ let analysis_section title analyze q =
   in
   { title; nodes }
 
+(* Each executed form runs the plan [uniqsql run] would compose for it. *)
 let run_execution ?cache cat database hosts label q =
   let q = Uniqueness.Views.expand_query cat q in
-  let config = Engine.Exec.default_config () in
+  let config =
+    (Optimizer.Physical.choose ?cache ~database cat q).Optimizer.Physical.config
+  in
   let r = Engine.Exec.run_query ~config database ~hosts q in
   (match cache with
   | None -> ()
@@ -134,28 +137,17 @@ let explain ?(stats = fun _ -> 1000) ?database ?(hosts = []) ?cache ?latency cat
   let chosen =
     Optimizer.Planner.choose ?cache ~trace:planner_trace cat stats query
   in
-  let distinct_trace = Trace.make () in
-  let _ =
-    Optimizer.Distinct_plan.choose ?cache ~trace:distinct_trace ?database cat
-      query
-  in
-  let join_trace = Trace.make () in
-  let join_choice =
-    Optimizer.Join_plan.choose ?cache ~trace:join_trace ?database ~stats cat
-      query
-  in
-  let order_trace = Trace.make () in
-  let _ =
-    (* feed the planned join order in: merge certification upgrades it,
-       and the probed stream order must match the plan that will run *)
-    let config =
-      {
-        (Engine.Exec.default_config ()) with
-        Engine.Exec.join_impl = join_choice.Optimizer.Join_plan.impl;
-      }
-    in
-    Optimizer.Order_plan.choose ~trace:order_trace ?database ~config ~stats cat
-      query
+  (* one composition narrates the three strategy sections (one grouping
+     node each, in order), so they describe the plan that runs *)
+  let physical_trace = Trace.make () in
+  ignore
+    (Optimizer.Physical.choose ?cache ~trace:physical_trace ?database ~stats
+       cat query);
+  let strategy_sections =
+    List.map2
+      (fun title (group : Trace.node) -> { title; nodes = group.children })
+      [ "distinct-strategy"; "join-strategy"; "order-strategy" ]
+      (Trace.nodes physical_trace)
   in
   let executions =
     match database with
@@ -175,10 +167,8 @@ let explain ?(stats = fun _ -> 1000) ?database ?(hosts = []) ?cache ?latency cat
         fd;
         symbolic;
         { title = "rewrites"; nodes = Trace.nodes rewrite_trace };
-        { title = "planner"; nodes = Trace.nodes planner_trace };
-        { title = "distinct-strategy"; nodes = Trace.nodes distinct_trace };
-        { title = "join-strategy"; nodes = Trace.nodes join_trace };
-        { title = "order-strategy"; nodes = Trace.nodes order_trace } ]
+        { title = "planner"; nodes = Trace.nodes planner_trace } ]
+      @ strategy_sections
       @ cache_section cache
       @ (match latency with
         | None -> []

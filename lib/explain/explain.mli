@@ -1,7 +1,8 @@
 (** [uniqsql explain]: one provenance-carrying report per query.
 
     Composes the decision traces of every analysis layer — Algorithm 1, the
-    FD-closure analyzer, the rewrite suite, the cost-based planner — and
+    FD-closure analyzer, the rewrite suite, the planners (strategy
+    sections from one [Optimizer.Physical.choose]) — and
     (optionally) the execution counters of {!Engine.Stats} into a single
     report, rendered either as a human-readable tree ({!pp}) or as JSON
     ({!to_json}, consumed by the benchmark harness and the snapshot tests).
@@ -40,8 +41,9 @@ type report = {
 
     [stats] is the planner's table-cardinality callback (default: 1000 rows
     per table). With [~database], the as-written and chosen forms are also
-    executed (views expanded first) and their {!Engine.Stats} counters are
-    folded into the report; [hosts] binds host variables for that run.
+    executed (views expanded first) under [Optimizer.Physical]'s plan and
+    their {!Engine.Stats} counters are folded into the report; [hosts]
+    binds host variables for that run.
 
     With [~cache], every uniqueness verdict goes through the
     {!Analysis_cache}: hits add [cache.hit] marker nodes to the analysis

@@ -1,9 +1,10 @@
 (** Join-order and unique-build strategy choice.
 
     Like [Distinct_plan], this module is a certificate authority sitting
-    above the engine: [Engine.Exec] runs a [Planned_join] order and its
-    unique-build flags blindly, so every [js_unique_build = true] must be
-    backed by an independently derivable proof. The proof is Algorithm 1
+    above the engine: [Engine.Exec] runs a [Planned_join] order as given
+    and fails the run on a unique build's first key collision, so every
+    [js_unique_build = true] must be backed by an independently derivable
+    proof. The proof is Algorithm 1
     run on a synthetic [SELECT DISTINCT <build join columns> FROM <leaf>
     WHERE <pushed single-leaf conjuncts>] spec: an Algorithm 1 YES says
     the build side's join columns cover a derived candidate key of the

@@ -80,14 +80,6 @@ let test_distinct_null_equivalence () =
   let r = run db "SELECT DISTINCT T.V FROM T" in
   Alcotest.(check int) "one null row" 1 (Relation.cardinality r)
 
-let test_hash_distinct_agrees () =
-  let db = small_db () in
-  let q = "SELECT DISTINCT R.B FROM R" in
-  let cfg_hash = { (Exec.default_config ()) with Exec.distinct_impl = Exec.Hash_distinct } in
-  let a = run db q in
-  let b = run ~config:cfg_hash db q in
-  Alcotest.(check bool) "same bag" true (Relation.equal_bags a b)
-
 let test_host_variables () =
   let db = small_db () in
   let r = run_h db [ ("X", v_int 2) ] "SELECT R.B FROM R WHERE R.A = :X" in
@@ -593,6 +585,26 @@ let test_planned_unique_build_execution () =
   Alcotest.(check bool) "strategy recorded" true
     (cfg.Exec.stats.Stats.join_strategy = "unique-hash-join,unique-hash-join")
 
+(* A unique build checks its certificate as it goes: a dimension key
+   duplicated after the plan was certified fails the run loudly instead of
+   silently dropping the second row. *)
+let test_unique_build_collision () =
+  let db = Workload.Datagen.star_db ~rows:500 () in
+  let q = Sql.Parser.parse_query Workload.Datagen.star_query in
+  let p = Optimizer.Physical.choose ~database:db Workload.Datagen.star_catalog q in
+  (match p.Optimizer.Physical.join with
+   | Some c ->
+     Alcotest.(check bool) "dimension builds certified unique" true
+       (c.Optimizer.Join_plan.unique_builds >= 1)
+   | None -> Alcotest.fail "join authority not consulted");
+  List.iter
+    (fun dim -> DB.insert db dim [| v_int 1; v_int 99 |])
+    [ "DIM1"; "DIM2" ];
+  match Exec.run_query ~config:p.Optimizer.Physical.config db ~hosts:[] q with
+  | _ -> Alcotest.fail "duplicate build key went unnoticed"
+  | exception Operator.Certificate_violation rule ->
+    Alcotest.(check string) "rule named" "unique-build" rule
+
 let test_scan_cache_bounded () =
   let db =
     Workload.Generator.supplier_db ~suppliers:10 ~parts_per_supplier:2 ()
@@ -653,8 +665,7 @@ let test_strategies_agree_with_naive () =
               let r = Exec.run_query ~config db ~hosts dq in
               Alcotest.(check bool) "strategy agrees with naive dedup" true
                 (Relation.equal_bags expect r))
-            [ Exec.Sort_distinct; Exec.Hash_distinct; Exec.Stream_hash;
-              Exec.Stream_sorted ])
+            [ Exec.Sort_distinct; Exec.Stream_hash; Exec.Stream_sorted ])
         c.Difftest.Case.instances
   done
 
@@ -788,8 +799,6 @@ let () =
           Alcotest.test_case "distinct" `Quick test_distinct;
           Alcotest.test_case "distinct equates nulls" `Quick
             test_distinct_null_equivalence;
-          Alcotest.test_case "hash distinct agrees with sort" `Quick
-            test_hash_distinct_agrees;
           Alcotest.test_case "host variables" `Quick test_host_variables;
           Alcotest.test_case "correlated EXISTS" `Quick test_exists_correlated;
           Alcotest.test_case "NOT EXISTS" `Quick test_not_exists;
@@ -858,6 +867,8 @@ let () =
             test_planned_join_orders_agree;
           Alcotest.test_case "unique builds execute correctly" `Quick
             test_planned_unique_build_execution;
+          Alcotest.test_case "unique build fails loudly on a key collision"
+            `Quick test_unique_build_collision;
           Alcotest.test_case "scan cache is bounded and correct" `Quick
             test_scan_cache_bounded;
         ] );

@@ -128,6 +128,56 @@ let test_setop_report () =
     [ "algorithm1.operand"; "operand = left"; "operand = right";
       "[APPLIED] intersect-to-exists (Theorem 3 / Corollary 2)" ]
 
+(* The strategy sections narrate the plan that runs. Under the elided
+   DISTINCT the stream keeps the scan order (SNO), so ORDER BY SNAME must
+   sort — a probe under the sort baseline, whose output is fully sorted,
+   would wrongly report the sort elided. *)
+let test_order_section_matches_physical () =
+  let db =
+    Workload.Generator.supplier_db ~suppliers:30 ~parts_per_supplier:5 ()
+  in
+  let cat = Engine.Database.catalog db in
+  let q =
+    Sql.Parser.parse_query
+      "SELECT DISTINCT S.SNAME, S.SNO FROM SUPPLIER S WHERE S.SNO >= 0 \
+       ORDER BY S.SNAME"
+  in
+  let p = Optimizer.Physical.choose ~database:db cat q in
+  Alcotest.(check bool) "composed plan materializes the sort" true
+    (p.Optimizer.Physical.config.Engine.Exec.sort_impl
+     = Engine.Exec.Materialize_sort);
+  (* a forced sort baseline emits rows sorted on every column: the order
+     certificate follows the forced strategy *)
+  let forced =
+    Optimizer.Physical.choose ~database:db ~distinct:Engine.Exec.Sort_distinct
+      cat q
+  in
+  Alcotest.(check bool) "forced sort baseline elides the ORDER BY" true
+    (forced.Optimizer.Physical.config.Engine.Exec.sort_impl
+     = Engine.Exec.Elided_sort
+    && forced.Optimizer.Physical.distinct = None);
+  let report = Explain.explain ~database:db cat q in
+  let section =
+    List.find (fun s -> s.Explain.title = "order-strategy")
+      report.Explain.sections
+  in
+  let strategy =
+    List.find_map
+      (fun (n : Trace.node) ->
+        if n.rule = "planner.order" then List.assoc_opt "strategy" n.facts
+        else None)
+      section.Explain.nodes
+  in
+  Alcotest.(check (option string)) "order section names the sort that runs"
+    (Some "materialize-sort") strategy;
+  match report.Explain.executions with
+  | e :: _ ->
+    Alcotest.(check (option int)) "execution elides the DISTINCT" (Some 1)
+      (List.assoc_opt "distinct_elisions" e.Explain.counters);
+    Alcotest.(check (option int)) "execution runs one sort" (Some 1)
+      (List.assoc_opt "sorts" e.Explain.counters)
+  | [] -> Alcotest.fail "no execution recorded"
+
 (* ---- fuzz hook: tracing must never change behaviour ---- *)
 
 let rng_of seed = Random.State.make [| seed |]
@@ -190,5 +240,7 @@ let () =
        [ Alcotest.test_case "names the evidence" `Quick
            test_report_names_the_evidence;
          Alcotest.test_case "deterministic" `Quick test_report_deterministic;
-         Alcotest.test_case "set operations" `Quick test_setop_report ]);
+         Alcotest.test_case "set operations" `Quick test_setop_report;
+         Alcotest.test_case "order section matches the composed plan" `Quick
+           test_order_section_matches_physical ]);
       ("fuzz", qsuite) ]
