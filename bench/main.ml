@@ -2131,7 +2131,8 @@ let experiment_sort_scale () =
     Workload.Datagen.pair_query rows;
   let pair_plan = Optimizer.Physical.choose ~database:pair_db pair_cat q_pair in
   let hash_impl =
-    (Option.get pair_plan.Optimizer.Physical.join).Optimizer.Join_plan.impl
+    (Optimizer.Join_plan.choose ~database:pair_db pair_cat q_pair)
+      .Optimizer.Join_plan.impl
   in
   let pair_choice = pair_plan.Optimizer.Physical.order in
   if pair_choice.Optimizer.Order_plan.merge_joins < 1 then

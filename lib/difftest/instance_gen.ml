@@ -3,9 +3,10 @@ module R = Schema.Relschema
 module Value = Sqlval.Value
 module Truth = Sqlval.Truth
 
-(* serialized key tuple; identical to the tag Database.validate uses, so a
-   row accepted here is never reported as Duplicate_key there *)
-let key_tag = Engine.Relation.key_of_values
+let float_pool = [| 0.; 1.; 2.; 3.; 0.1; 0.1000001; 1234567.; 1234567.25 |]
+
+let random_float rng =
+  float_pool.(Random.State.int rng (Array.length float_pool))
 
 let random_value rng (col : R.column) =
   if col.R.nullable && Random.State.float rng 1.0 < 0.25 then Value.Null
@@ -15,7 +16,7 @@ let random_value rng (col : R.column) =
     | R.Tstring ->
       Value.String (List.nth [ "a"; "b"; "c" ] (Random.State.int rng 3))
     | R.Tbool -> Value.Bool (Random.State.bool rng)
-    | R.Tfloat -> Value.Float (float_of_int (Random.State.int rng 4))
+    | R.Tfloat -> Value.Float (random_float rng)
 
 let checks_pass (def : Catalog.table_def) row =
   let schema = def.Catalog.tbl_schema in
@@ -45,11 +46,14 @@ let tables ~rng ?(rows = 6) cat =
       let col_index cname =
         R.index_of schema (Schema.Attr.make ~rel:name ~name:cname)
       in
-      (* one dedup set per candidate key *)
+      (* one dedup set per candidate key, in the key format
+         Database.validate checks, so a row accepted here is never
+         reported as Duplicate_key there *)
       let keys =
         List.map
           (fun (k : Catalog.key) ->
-            (List.map col_index k.Catalog.key_cols, Hashtbl.create 16))
+            ( Array.of_list (List.map col_index k.Catalog.key_cols),
+              Engine.Relation.Row_tbl.create 16 ))
           (Catalog.candidate_keys def)
       in
       let fks =
@@ -105,16 +109,16 @@ let tables ~rng ?(rows = 6) cat =
         if (not fk_ok) || not (checks_pass def row) then None
         else if
           (* primary keys already have NOT NULL columns (catalog enforces);
-             reject duplicates under the null-comparison tag *)
+             reject duplicates under the null-comparison operator *)
           List.exists
             (fun (idxs, seen) ->
-              Hashtbl.mem seen (key_tag (List.map (fun i -> row.(i)) idxs)))
+              Engine.Relation.Row_tbl.mem seen (Array.map (fun i -> row.(i)) idxs))
             keys
         then None
         else begin
           List.iter
             (fun (idxs, seen) ->
-              Hashtbl.add seen (key_tag (List.map (fun i -> row.(i)) idxs)) ())
+              Engine.Relation.Row_tbl.add seen (Array.map (fun i -> row.(i)) idxs) ())
             keys;
           Some row
         end

@@ -8,6 +8,13 @@
     result always satisfies [Engine.Database.validate] — property-tested in
     [test/test_difftest.ml]. *)
 
+(** Random [FLOAT] column values and query constants are drawn from
+    this pool: small integral values (which equal [INT] values under the
+    null-comparison operator), two values that differ only in the 7th
+    significant digit, and two of 7 or more integral digits — so seeded
+    campaigns exercise exact key equality. *)
+val random_float : Random.State.t -> float
+
 (** Rows for every table of the catalog, as [(table, rows)] in catalog
     order. [rows] bounds the row count per table (default 6). *)
 val tables : rng:Random.State.t -> ?rows:int -> Catalog.t -> (string * Engine.Relation.row list) list

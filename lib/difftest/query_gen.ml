@@ -58,7 +58,7 @@ let const_for rng = function
   | R.Tint -> Value.Int (Random.State.int rng 4)
   | R.Tstring -> Value.String (pick rng [ "a"; "b"; "c" ])
   | R.Tbool -> Value.Bool (Random.State.bool rng)
-  | R.Tfloat -> Value.Float (float_of_int (Random.State.int rng 4))
+  | R.Tfloat -> Value.Float (Instance_gen.random_float rng)
 
 let any_cmp rng = pick rng [ A.Eq; A.Ne; A.Lt; A.Le; A.Gt; A.Ge ]
 

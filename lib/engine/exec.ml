@@ -40,7 +40,6 @@ type config = {
   sort_impl : sort_impl;
   exists_impl : exists_impl;
   logic : Sqlval.Logic_mode.t;
-  scan_cache_capacity : int;
   stats : Stats.t;
 }
 
@@ -51,12 +50,15 @@ let default_config () =
     sort_impl = Materialize_sort;
     exists_impl = Naive_exists;
     logic = Sqlval.Logic_mode.default;
-    scan_cache_capacity = 64;
     stats = Stats.create ();
   }
 
 exception Unbound_column of Schema.Attr.t
 exception Unbound_host of string
+
+(* Entries in each of [compile]'s per-statement caches (scans, EXISTS
+   indexes); overflow evicts LRU. *)
+let statement_cache_capacity = 64
 
 (* A frame is one enclosing query block's current tuple. Lookup walks frames
    innermost-first, so a correlated subquery sees its own tables before the
@@ -151,7 +153,7 @@ let compile ?config db ~hosts plan : Operator.t =
       ( string * string,
         Schema.Relschema.t * Relation.row list * Schema.Attr.t list )
       Cache.Lru.t =
-    Cache.Lru.create ~capacity:(max 1 cfg.scan_cache_capacity)
+    Cache.Lru.create ~capacity:statement_cache_capacity
   in
   let scan_table table corr =
     let key = (String.uppercase_ascii table, corr) in
@@ -172,15 +174,10 @@ let compile ?config db ~hosts plan : Operator.t =
   in
   (* memoized per-subquery hash indexes for Indexed_exists *)
   let exists_index_cache :
-      (string, (string, Relation.row list) Hashtbl.t) Cache.Lru.t =
-    Cache.Lru.create ~capacity:(max 1 cfg.scan_cache_capacity)
+      (string, Relation.row list Relation.Row_tbl.t) Cache.Lru.t =
+    Cache.Lru.create ~capacity:statement_cache_capacity
   in
   let tick_compare () = stats.Stats.comparisons <- stats.Stats.comparisons + 1 in
-  let sort_counting rows =
-    stats.Stats.sorts <- stats.Stats.sorts + 1;
-    stats.Stats.sorted_rows <- stats.Stats.sorted_rows + List.length rows;
-    Relation.sort_rows ~tick:tick_compare rows
-  in
   (* Evaluate a predicate for the row in [frames] (innermost first). *)
   let rec eval_pred frames pred =
     stats.Stats.predicate_evals <- stats.Stats.predicate_evals + 1;
@@ -226,24 +223,21 @@ let compile ?config db ~hosts plan : Operator.t =
       | exception Failure _ -> None
     in
     (* correlation conjuncts: inner column = outer-varying scalar *)
+    let correlation = function
+      | Sql.Ast.Col a, rhs ->
+        (match inner a, rhs with
+         | Some i, Sql.Ast.Col b when inner b = None -> Some (i, rhs)
+         | Some i, (Sql.Ast.Const _ | Sql.Ast.Host _) -> Some (i, rhs)
+         | _ -> None)
+      | _ -> None
+    in
     let key_conjs =
       List.filter_map
-        (fun c ->
-          match c with
-          | Sql.Ast.Cmp (Sql.Ast.Eq, Sql.Ast.Col a, rhs)
-            when inner a <> None
-                 && (match rhs with
-                     | Sql.Ast.Col b -> inner b = None
-                     | Sql.Ast.Const _ | Sql.Ast.Host _ -> true
-                     | Sql.Ast.Agg _ -> false) ->
-            Some (Option.get (inner a), rhs)
-          | Sql.Ast.Cmp (Sql.Ast.Eq, rhs, Sql.Ast.Col a)
-            when inner a <> None
-                 && (match rhs with
-                     | Sql.Ast.Col b -> inner b = None
-                     | Sql.Ast.Const _ | Sql.Ast.Host _ -> true
-                     | Sql.Ast.Agg _ -> false) ->
-            Some (Option.get (inner a), rhs)
+        (function
+          | Sql.Ast.Cmp (Sql.Ast.Eq, x, y) ->
+            (match correlation (x, y) with
+             | Some k -> Some k
+             | None -> correlation (y, x))
           | _ -> None)
         (Sql.Ast.conjuncts sub.where)
     in
@@ -257,33 +251,36 @@ let compile ?config db ~hosts plan : Operator.t =
         match Cache.Lru.find exists_index_cache cache_key with
         | Some ix -> ix
         | None ->
-          let ix = Hashtbl.create (List.length rows) in
+          let ix = Relation.Row_tbl.create (List.length rows) in
           List.iter
             (fun row ->
               stats.Stats.rows_scanned <- stats.Stats.rows_scanned + 1;
-              let vals = List.map (fun (i, _) -> row.(i)) key_conjs in
-              if not (List.exists Value.is_null vals) then begin
-                let k = Relation.key_of_values vals in
-                Hashtbl.replace ix k
-                  (row :: Option.value ~default:[] (Hashtbl.find_opt ix k))
-              end)
+              let k =
+                Array.of_list (List.map (fun (i, _) -> row.(i)) key_conjs)
+              in
+              if not (Array.exists Value.is_null k) then
+                Relation.Row_tbl.replace ix k
+                  (row
+                  :: Option.value ~default:[] (Relation.Row_tbl.find_opt ix k)))
             rows;
           add_counting_evictions exists_index_cache cache_key ix;
           ix
       in
       stats.Stats.hash_probes <- stats.Stats.hash_probes + 1;
-      let probe_vals =
-        List.map
-          (fun (_, rhs) ->
-            Logic.Eval.eval_scalar
-              ~lookup_col:(lookup_in_frames outer_frames)
-              ~lookup_host rhs)
-          key_conjs
+      let k =
+        Array.of_list
+          (List.map
+             (fun (_, rhs) ->
+               Logic.Eval.eval_scalar
+                 ~lookup_col:(lookup_in_frames outer_frames)
+                 ~lookup_host rhs)
+             key_conjs)
       in
-      (not (List.exists Value.is_null probe_vals))
+      (not (Array.exists Value.is_null k))
       &&
-      let k = Relation.key_of_values probe_vals in
-      let candidates = Option.value ~default:[] (Hashtbl.find_opt index k) in
+      let candidates =
+        Option.value ~default:[] (Relation.Row_tbl.find_opt index k)
+      in
       List.exists
         (fun row ->
           Truth.is_true
@@ -708,98 +705,46 @@ let compile ?config db ~hosts plan : Operator.t =
     count_output (filter_op result !remaining)
 
   and setop kind d a b =
-    match d with
-    | Sql.Ast.Distinct ->
-      (* DISTINCT set operations stream: dedup the left input with a hash
-         set, then keep (INTERSECT) or drop (EXCEPT) the rows present in
-         the right via a hash semi-join keyed on the whole row. Set
-         operations equate NULLs, so the semi-join keys use the
-         null-comparison total order ([~null_equal]). Order provenance is
-         the left input's — the merge-based ALL path below still claims the
-         full sort it performs. *)
-      let left = compile_node a in
-      let right = compile_node b in
-      let schema = left.Operator.schema in
-      let all_cols s = List.init (List.length (Schema.Relschema.columns s)) Fun.id in
-      let checked = ref false in
-      let check_compat () =
-        if not !checked then begin
-          checked := true;
-          if
-            not
-              (Schema.Relschema.union_compatible schema right.Operator.schema)
-          then failwith "Exec: set operation on non-union-compatible inputs"
-        end
-      in
-      Stats.record_join stats
-        ~strategy:
-          (match kind with
-           | `Intersect -> "semi-join"
-           | `Except -> "anti-semi-join");
-      let semi =
-        Operator.semi_join
-          ~anti:(kind = `Except)
-          ~null_equal:true ~stats ~probe_key:(all_cols schema)
-          ~build_key:(all_cols right.Operator.schema)
-          (Operator.hash_unique ~stats left)
-          right
-      in
-      count_output
-        { semi with
-          Operator.next =
-            (fun () ->
-              check_compat ();
-              semi.Operator.next ()) }
-    | Sql.Ast.All ->
-    let schema = (compile_node a).Operator.schema in
-    (* merge output is fully sorted, so downstream order is all columns *)
-    Operator.of_lazy ~order:(Schema.Relschema.attrs schema) schema (fun () ->
-        let ra = exec a and rb = exec b in
-        if
-          not
-            (Schema.Relschema.union_compatible ra.Relation.schema
-               rb.Relation.schema)
-        then failwith "Exec: set operation on non-union-compatible inputs";
-        let sa = sort_counting ra.Relation.rows
-        and sb = sort_counting rb.Relation.rows in
-        (* group both sorted inputs by row value and merge multiplicities:
-           INTERSECT ALL -> min(j, k); EXCEPT ALL -> max(j - k, 0) *)
-        let rec groups = function
-          | [] -> []
-          | r :: rest ->
-            let rec take n = function
-              | r' :: rest' when (tick_compare (); Relation.compare_rows r r' = 0) ->
-                take (n + 1) rest'
-              | remaining -> (n, remaining)
-            in
-            let n, remaining = take 1 rest in
-            (r, n) :: groups remaining
-        in
-        let ga = groups sa and gb = groups sb in
-        let rec merge ga gb =
-          match ga, gb with
-          | [], _ -> []
-          | rest, [] -> if kind = `Intersect then [] else rest
-          | (ra', ja) :: ta, (rb', jb) :: tb ->
-            tick_compare ();
-            let c = Relation.compare_rows ra' rb' in
-            if c < 0 then
-              if kind = `Intersect then merge ta gb else (ra', ja) :: merge ta gb
-            else if c > 0 then merge ga tb
-            else
-              let m =
-                match kind with
-                | `Intersect -> min ja jb
-                | `Except -> max (ja - jb) 0
-              in
-              let rest = merge ta tb in
-              if m > 0 then (ra', m) :: rest else rest
-        in
-        let rows =
-          List.concat_map (fun (r, n) -> List.init n (fun _ -> r)) (merge ga gb)
-        in
-        stats.Stats.rows_output <- stats.Stats.rows_output + List.length rows;
-        rows)
+    (* Set operations stream as one counted hash semi-join keyed on the
+       whole row (see [Operator.semi_join]): INTERSECT keeps the left rows
+       a right row cancels, EXCEPT the rest. DISTINCT dedups the left input
+       first, so each surviving row meets the set test; ALL streams the
+       left bag as is and gets min(j, k) / max(j - k, 0) copies. Set
+       operations equate NULLs, so the keys use the null-comparison
+       operator ([~null_equal]). Output order is the left input's. *)
+    let left = compile_node a in
+    let right = compile_node b in
+    let schema = left.Operator.schema in
+    let all_cols s = List.init (List.length (Schema.Relschema.columns s)) Fun.id in
+    let checked = ref false in
+    let check_compat () =
+      if not !checked then begin
+        checked := true;
+        if not (Schema.Relschema.union_compatible schema right.Operator.schema)
+        then failwith "Exec: set operation on non-union-compatible inputs"
+      end
+    in
+    Stats.record_join stats
+      ~strategy:
+        (match kind with
+         | `Intersect -> "semi-join"
+         | `Except -> "anti-semi-join");
+    let semi =
+      Operator.semi_join
+        ~anti:(kind = `Except)
+        ~null_equal:true ~stats ~probe_key:(all_cols schema)
+        ~build_key:(all_cols right.Operator.schema)
+        (match d with
+         | Sql.Ast.Distinct -> Operator.hash_unique ~stats left
+         | Sql.Ast.All -> left)
+        right
+    in
+    count_output
+      { semi with
+        Operator.next =
+          (fun () ->
+            check_compat ();
+            semi.Operator.next ()) }
   in
   compile_node plan
 

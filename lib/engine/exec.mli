@@ -1,12 +1,15 @@
 (** Plan compiler and executor with SQL 3VL multiset semantics.
 
     Plans compile to pull-based {!Operator} pipelines. Scans, filters,
-    projections, products, hash joins, and DISTINCT set operations stream
-    (a join's build side and a set operation's right side are drained on
-    the first pull, never at compile time); aggregation and ALL set
-    operations are blocking and run behind deferred sources. Compiling a
-    plan therefore never executes it — the planner compiles purely to
-    inspect order provenance ({!distinct_stream}).
+    projections, products, joins and set operations stream (a join's
+    build side and a set operation's right side are drained on the first
+    pull, never at compile time); aggregation is blocking and runs behind
+    a deferred source. Compiling a plan therefore never executes it — the
+    planner compiles purely to inspect order provenance
+    ({!distinct_stream}). Each statement's scan and EXISTS-index caches
+    hold at most 64 entries each; overflow evicts LRU and counts in
+    {!Stats.t.scan_cache_evictions}, costing a re-scan, never
+    correctness.
 
     Duplicate elimination comes in four flavors, all built from the
     {!Operator} set: [Sort_distinct], the 1994-era default whose sort is
@@ -108,11 +111,6 @@ type config = {
           every predicate evaluation in the plan, EXISTS subqueries
           included. Duplicate elimination is unaffected (it always uses the
           null-comparison total order). *)
-  scan_cache_capacity : int;
-      (** bound on the executor's per-statement scan and EXISTS-index
-          caches (entries; default 64). Overflow evicts LRU and counts in
-          {!Stats.t.scan_cache_evictions}; eviction costs a re-scan, never
-          correctness. *)
   stats : Stats.t;
 }
 

@@ -66,146 +66,34 @@ let map ?(order = []) schema f op =
     close = op.close;
   }
 
-let product ?(tick = no_op) left right =
-  let schema = Schema.Relschema.product left.schema right.schema in
-  (* Block nested loop: the right input is drained once into a buffer, then
-     replayed per left row, so a streaming right child is only evaluated
-     once. Output inherits the left order — for a fixed left row the block
-     of pairs is contiguous, which is exactly what lexicographic order on
-     left attributes requires. *)
-  let buffer = ref None in
-  let right_rows () =
-    match !buffer with
-    | Some rows -> rows
-    | None ->
-      let rec drain acc =
-        match right.next () with
-        | Some r -> drain (r :: acc)
-        | None -> List.rev acc
-      in
-      let rows = drain [] in
-      buffer := Some rows;
-      rows
+(* Drain a stream into a list, in stream order. *)
+let drain op =
+  let rec go acc =
+    match op.next () with Some r -> go (r :: acc) | None -> List.rev acc
   in
-  let current = ref None in
+  go []
+
+(* The pairing loop [product] and the joins share: each [probe] row [x]
+   is followed by [x @ y] for every [y] of [matches x], in order, so the
+   output inherits the probe's order (a fixed probe row's pairs are
+   contiguous). [reset] and [release] clear the caller's state on rewind
+   and close; [tick] fires once per pair. *)
+let pairs ?(tick = no_op) schema ~matches ~reset ~release probe =
+  let current = ref [||] in
   let pending = ref [] in
   let rec pull () =
     match !pending with
     | y :: rest ->
       pending := rest;
-      (match !current with
-       | Some x ->
-         tick ();
-         Some (Array.append x y)
-       | None -> assert false)
-    | [] ->
-      (match left.next () with
-       | None -> None
-       | Some x ->
-         current := Some x;
-         pending := right_rows ();
-         pull ())
-  in
-  {
-    schema;
-    order = left.order;
-    next = pull;
-    rewind =
-      (fun () ->
-        left.rewind ();
-        current := None;
-        pending := []);
-    close =
-      (fun () ->
-        left.close ();
-        right.close ();
-        buffer := Some [];
-        current := None;
-        pending := []);
-  }
-
-(* Join keys follow WHERE-equality semantics: a NULL in any key column
-   means the row can match nothing (unknown, not equal), so it is dropped
-   from both the build table and the probe. [semi_join ~null_equal:true]
-   switches to the null-comparison total order used by set operations. *)
-let join_key ~null_equal row idxs =
-  let vals = List.map (fun i -> row.(i)) idxs in
-  if (not null_equal) && List.exists Value.is_null vals then None
-  else Some (Relation.key_of_values vals)
-
-exception Certificate_violation of string
-
-let hash_join ?(tick = no_op) ~stats ?(unique_build = false) ~probe_key
-    ~build_key probe build =
-  let schema = Schema.Relschema.product probe.schema build.schema in
-  (* The build side is drained exactly once, on the first probe pull —
-     compiling the pipeline stays pure. Unique mode stores one flat row per
-     key (the planner certified the build join columns cover a candidate
-     key) and each matching probe early-exits with that row instead of
-     walking a list. A second build row on a key means the certificate
-     was wrong: fail loudly rather than drop the row. *)
-  let table = ref None in
-  let force_table () =
-    match !table with
-    | Some tbl -> tbl
-    | None ->
-      if unique_build then
-        stats.Stats.unique_builds <- stats.Stats.unique_builds + 1;
-      let tbl = Hashtbl.create 256 in
-      let rec drain () =
-        match build.next () with
-        | None -> ()
-        | Some row ->
-          stats.Stats.join_build_rows <- stats.Stats.join_build_rows + 1;
-          (match join_key ~null_equal:false row build_key with
-           | None -> ()
-           | Some k when unique_build ->
-             if Hashtbl.mem tbl k then
-               raise (Certificate_violation "unique-build");
-             Hashtbl.add tbl k [ row ]
-           | Some k ->
-             Hashtbl.replace tbl k
-               (row :: Option.value ~default:[] (Hashtbl.find_opt tbl k)));
-          drain ()
-      in
-      drain ();
-      table := Some tbl;
-      tbl
-  in
-  let current = ref None in
-  let pending = ref [] in
-  let rec pull () =
-    match !pending with
-    | y :: rest ->
-      pending := rest;
-      (match !current with
-       | Some x ->
-         tick ();
-         Some (Array.append x y)
-       | None -> assert false)
+      tick ();
+      Some (Array.append !current y)
     | [] ->
       (match probe.next () with
        | None -> None
        | Some x ->
-         let tbl = force_table () in
-         stats.Stats.join_probe_rows <- stats.Stats.join_probe_rows + 1;
-         stats.Stats.hash_probes <- stats.Stats.hash_probes + 1;
-         (match join_key ~null_equal:false x probe_key with
-          | None -> pull ()
-          | Some k ->
-            (match Hashtbl.find_opt tbl k with
-             | None -> pull ()
-             | Some [ y ] when unique_build ->
-               stats.Stats.probe_early_exits <-
-                 stats.Stats.probe_early_exits + 1;
-               tick ();
-               Some (Array.append x y)
-             | Some bucket ->
-               current := Some x;
-               (* buckets are built by consing, so reverse back to build
-                  order before replaying *)
-               pending := List.rev bucket;
-               pull ())))
+         current := x;
+         pending := matches x;
+         pull ())
   in
   {
     schema;
@@ -214,38 +102,154 @@ let hash_join ?(tick = no_op) ~stats ?(unique_build = false) ~probe_key
     rewind =
       (fun () ->
         probe.rewind ();
-        current := None;
+        reset ();
         pending := []);
     close =
       (fun () ->
         probe.close ();
-        build.close ();
-        table := Some (Hashtbl.create 1);
-        current := None;
+        release ();
         pending := []);
   }
 
-let semi_join ?(anti = false) ?(null_equal = false) ~stats ~probe_key
-    ~build_key probe build =
-  (* Output schema and order are the probe's: the operator only decides,
-     per probe row, whether a build match exists ([anti] inverts). *)
+let product ?tick left right =
+  (* Block nested loop: the right input is drained once into a buffer, then
+     replayed per left row, so a streaming right child is only evaluated
+     once. *)
+  let buffer = ref None in
+  let right_rows () =
+    match !buffer with
+    | Some rows -> rows
+    | None ->
+      let rows = drain right in
+      buffer := Some rows;
+      rows
+  in
+  pairs ?tick
+    (Schema.Relschema.product left.schema right.schema)
+    ~matches:(fun _ -> right_rows ())
+    ~reset:no_op
+    ~release:(fun () ->
+      right.close ();
+      buffer := Some [])
+    left
+
+(* Join keys are value arrays, compared and hashed as rows
+   ([Relation.Row_tbl], [Relation.compare_rows]), so they follow the same
+   [Value.compare_total] as DISTINCT. They follow WHERE-equality
+   semantics: a NULL in any key column means the row can match nothing
+   (unknown, not equal), so it is dropped from both the build side and
+   the probe. [semi_join ~null_equal:true] switches to the
+   null-comparison operator used by set operations. *)
+let join_key ~null_equal idxs (row : Relation.row) =
+  let key = Array.make (Array.length idxs) Value.Null in
+  let null = ref false in
+  for j = 0 to Array.length idxs - 1 do
+    let v = row.(idxs.(j)) in
+    if Value.is_null v then null := true;
+    key.(j) <- v
+  done;
+  if !null && not null_equal then None else Some key
+
+(* Drain [build] into a fresh key table, calling [add tbl key row] for
+   every row with a key. *)
+let build_table ~stats ~key ~add build =
+  let tbl = Relation.Row_tbl.create 256 in
+  let rec go () =
+    match build.next () with
+    | None -> tbl
+    | Some row ->
+      stats.Stats.join_build_rows <- stats.Stats.join_build_rows + 1;
+      (match key row with Some k -> add tbl k row | None -> ());
+      go ()
+  in
+  go ()
+
+exception Certificate_violation of string
+
+let hash_join ?tick ~stats ?(unique_build = false) ~probe_key ~build_key
+    probe build =
+  (* The build side is drained exactly once, on the first probe pull —
+     compiling the pipeline stays pure. Unique mode stores one row per key
+     (the planner certified the build join columns cover a candidate key)
+     and each matching probe early-exits with that row. A second build row
+     on a key means the certificate was wrong: fail loudly rather than
+     drop the row. *)
+  let probe_key = Array.of_list probe_key
+  and build_key = Array.of_list build_key in
   let table = ref None in
   let force_table () =
     match !table with
     | Some tbl -> tbl
     | None ->
-      let tbl = Hashtbl.create 256 in
-      let rec drain () =
-        match build.next () with
-        | None -> ()
-        | Some row ->
-          stats.Stats.join_build_rows <- stats.Stats.join_build_rows + 1;
-          (match join_key ~null_equal row build_key with
-           | None -> ()
-           | Some k -> Hashtbl.replace tbl k ());
-          drain ()
+      if unique_build then
+        stats.Stats.unique_builds <- stats.Stats.unique_builds + 1;
+      let tbl =
+        build_table ~stats
+          ~key:(join_key ~null_equal:false build_key)
+          ~add:(fun tbl k row ->
+            match Relation.Row_tbl.find_opt tbl k with
+            | Some _ when unique_build ->
+              raise (Certificate_violation "unique-build")
+            | bucket ->
+              Relation.Row_tbl.replace tbl k
+                (row :: Option.value ~default:[] bucket))
+          build
       in
-      drain ();
+      (* buckets were built by consing: back to build order, once *)
+      if not unique_build then
+        Relation.Row_tbl.filter_map_inplace (fun _ b -> Some (List.rev b)) tbl;
+      table := Some tbl;
+      tbl
+  in
+  pairs ?tick
+    (Schema.Relschema.product probe.schema build.schema)
+    ~matches:(fun x ->
+      let tbl = force_table () in
+      stats.Stats.join_probe_rows <- stats.Stats.join_probe_rows + 1;
+      stats.Stats.hash_probes <- stats.Stats.hash_probes + 1;
+      match join_key ~null_equal:false probe_key x with
+      | None -> []
+      | Some k ->
+        (match Relation.Row_tbl.find_opt tbl k with
+         | None -> []
+         | Some bucket ->
+           if unique_build then
+             stats.Stats.probe_early_exits <- stats.Stats.probe_early_exits + 1;
+           bucket))
+    ~reset:no_op
+    ~release:(fun () ->
+      build.close ();
+      table := Some (Relation.Row_tbl.create 1))
+    probe
+
+(* One build-key count per table slot: [total] build rows carry the key,
+   [left] of them have not yet cancelled a probe row. *)
+type count = { mutable total : int; mutable left : int }
+
+let semi_join ?(anti = false) ?(null_equal = false) ~stats ~probe_key
+    ~build_key probe build =
+  (* Output schema and order are the probe's. Each build row cancels at
+     most one probe row with its key: a semi emits the cancelled rows, an
+     anti the rest. Over a duplicate-free probe that is the set test, and
+     over bags it yields INTERSECT ALL's min(j, k) and EXCEPT ALL's
+     max(j - k, 0) copies. Rewinding restores the counts. *)
+  let probe_key = Array.of_list probe_key
+  and build_key = Array.of_list build_key in
+  let table = ref None in
+  let force_table () =
+    match !table with
+    | Some tbl -> tbl
+    | None ->
+      let tbl =
+        build_table ~stats ~key:(join_key ~null_equal build_key)
+          ~add:(fun tbl k _ ->
+            match Relation.Row_tbl.find_opt tbl k with
+            | Some c ->
+              c.total <- c.total + 1;
+              c.left <- c.left + 1
+            | None -> Relation.Row_tbl.add tbl k { total = 1; left = 1 })
+          build
+      in
       table := Some tbl;
       tbl
   in
@@ -256,21 +260,32 @@ let semi_join ?(anti = false) ?(null_equal = false) ~stats ~probe_key
       let tbl = force_table () in
       stats.Stats.join_probe_rows <- stats.Stats.join_probe_rows + 1;
       stats.Stats.hash_probes <- stats.Stats.hash_probes + 1;
-      let matched =
-        match join_key ~null_equal x probe_key with
+      let cancelled =
+        match join_key ~null_equal probe_key x with
         | None -> false
-        | Some k -> Hashtbl.mem tbl k
+        | Some k ->
+          (match Relation.Row_tbl.find_opt tbl k with
+           | Some c when c.left > 0 ->
+             c.left <- c.left - 1;
+             true
+           | Some _ | None -> false)
       in
-      if matched <> anti then Some x else pull ()
+      if cancelled <> anti then Some x else pull ()
   in
   {
     probe with
     next = pull;
+    rewind =
+      (fun () ->
+        probe.rewind ();
+        Option.iter
+          (Relation.Row_tbl.iter (fun _ c -> c.left <- c.total))
+          !table);
     close =
       (fun () ->
         probe.close ();
         build.close ();
-        table := Some (Hashtbl.create 1));
+        table := Some (Relation.Row_tbl.create 1));
   }
 
 (* Materializing ORDER BY — the ablation baseline the planner elides when
@@ -293,14 +308,8 @@ let sort ~stats keys op =
     go idxs
   in
   of_lazy ~order:keys op.schema (fun () ->
-      let rows =
-        let rec drain acc =
-          match op.next () with Some r -> drain (r :: acc) | None -> List.rev acc
-        in
-        let rows = drain [] in
-        op.close ();
-        rows
-      in
+      let rows = drain op in
+      op.close ();
       stats.Stats.sorts <- stats.Stats.sorts + 1;
       stats.Stats.sorted_rows <- stats.Stats.sorted_rows + List.length rows;
       List.stable_sort compare_keys rows)
@@ -313,16 +322,13 @@ let sort ~stats keys op =
    build order within a key group, so its output is list-equal to a hash
    join over the same (ordered) inputs. One key group of the build side
    is the only buffered state. *)
-let merge_join ?(tick = no_op) ~stats ~probe_key ~build_key probe build =
+let merge_join ?tick ~stats ~probe_key ~build_key probe build =
   stats.Stats.merge_joins <- stats.Stats.merge_joins + 1;
-  let schema = Schema.Relschema.product probe.schema build.schema in
-  let key_vals row idxs =
-    let vals = List.map (fun i -> row.(i)) idxs in
-    if List.exists Value.is_null vals then None else Some vals
-  in
+  let probe_key = Array.of_list probe_key
+  and build_key = Array.of_list build_key in
   let compare_keys a b =
     stats.Stats.comparisons <- stats.Stats.comparisons + 1;
-    List.compare Value.compare_total a b
+    Relation.compare_rows a b
   in
   (* lookahead: the next build row not yet assigned to a group *)
   let build_ahead = ref None in
@@ -342,7 +348,7 @@ let merge_join ?(tick = no_op) ~stats ~probe_key ~build_key probe build =
             None
           | Some r ->
             stats.Stats.join_build_rows <- stats.Stats.join_build_rows + 1;
-            (match key_vals r build_key with
+            (match join_key ~null_equal:false build_key r with
              | None -> pull ()  (* NULL join key: matches nothing *)
              | Some k -> Some (k, r))
         in
@@ -381,63 +387,33 @@ let merge_join ?(tick = no_op) ~stats ~probe_key ~build_key probe build =
     group_key := Some k;
     group := skip ()
   in
-  let current = ref None in
-  let pending = ref [] in
-  let rec pull () =
-    match !pending with
-    | y :: rest ->
-      pending := rest;
-      (match !current with
-       | Some x ->
-         tick ();
-         Some (Array.append x y)
-       | None -> assert false)
-    | [] ->
-      (match probe.next () with
-       | None -> None
-       | Some x ->
-         stats.Stats.join_probe_rows <- stats.Stats.join_probe_rows + 1;
-         (match key_vals x probe_key with
-          | None -> pull ()
-          | Some k ->
-            let same =
-              match !group_key with
-              | Some gk -> compare_keys gk k = 0
-              | None -> false
-            in
-            if not same then load_group k;
-            (match !group with
-             | [] -> pull ()
-             | rows ->
-               current := Some x;
-               pending := rows;
-               pull ())))
+  let clear ~done_ () =
+    build_ahead := None;
+    build_done := done_;
+    group_key := None;
+    group := []
   in
-  {
-    schema;
-    order = probe.order;
-    next = pull;
-    rewind =
-      (fun () ->
-        probe.rewind ();
-        build.rewind ();
-        build_ahead := None;
-        build_done := false;
-        group_key := None;
-        group := [];
-        current := None;
-        pending := []);
-    close =
-      (fun () ->
-        probe.close ();
-        build.close ();
-        build_ahead := None;
-        build_done := true;
-        group_key := None;
-        group := [];
-        current := None;
-        pending := []);
-  }
+  pairs ?tick
+    (Schema.Relschema.product probe.schema build.schema)
+    ~matches:(fun x ->
+      stats.Stats.join_probe_rows <- stats.Stats.join_probe_rows + 1;
+      match join_key ~null_equal:false probe_key x with
+      | None -> []
+      | Some k ->
+        let same =
+          match !group_key with
+          | Some gk -> compare_keys gk k = 0
+          | None -> false
+        in
+        if not same then load_group k;
+        !group)
+    ~reset:(fun () ->
+      build.rewind ();
+      clear ~done_:false ())
+    ~release:(fun () ->
+      build.close ();
+      clear ~done_:true ())
+    probe
 
 let order_covers schema order =
   let target = Schema.Relschema.attr_set schema in
@@ -535,12 +511,7 @@ let elided_unique ~stats op =
   { op with next = pull }
 
 let to_rows op =
-  let rec drain acc =
-    match op.next () with
-    | Some r -> drain (r :: acc)
-    | None -> List.rev acc
-  in
-  let rows = drain [] in
+  let rows = drain op in
   op.close ();
   rows
 

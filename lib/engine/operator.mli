@@ -118,13 +118,18 @@ val hash_join :
   t ->
   t
 
-(** Hash semi-join: emit the probe rows with at least one build match
-    ([~anti:true] inverts — emit the rows with none). Schema and order are
-    the probe's; the build side only ever contributes a key-set bit. With
-    [~null_equal:true] keys use the null-comparison total order (NULL
-    matches NULL) — the set-operation regime — instead of WHERE-equality
-    semantics, under which a NULL probe key matches nothing (so a semi
-    drops the row and an anti keeps it). *)
+(** Counted hash semi-join: each build row cancels at most one probe row
+    with its key, in probe order; emit the cancelled probe rows
+    ([~anti:true] inverts — emit the rest). Over a duplicate-free probe
+    this is the set test "has a build match"; over bags, a probe key seen
+    [j] times against [k] build rows yields [min(j, k)] copies (semi, the
+    [INTERSECT ALL] count) or [max(j - k, 0)] (anti, [EXCEPT ALL]).
+    Schema and order are the probe's. [rewind] replays the probe against
+    the restored counts. With [~null_equal:true] keys use the
+    null-comparison operator (NULL matches NULL) — the set-operation
+    regime — instead of WHERE-equality semantics, under which a NULL
+    probe key matches nothing (so a semi drops the row and an anti keeps
+    it). *)
 val semi_join :
   ?anti:bool ->
   ?null_equal:bool ->

@@ -20,14 +20,15 @@ let make schema rows =
 
 let cardinality t = List.length t.rows
 
-let compare_rows (a : row) (b : row) =
-  let n = Array.length a in
-  let rec go i =
-    if i >= n then 0
-    else
-      match Value.compare_total a.(i) b.(i) with 0 -> go (i + 1) | c -> c
-  in
-  go 0
+(* top-level, so comparing allocates no closure (it runs per probe) *)
+let rec compare_from (a : row) (b : row) i =
+  if i >= Array.length a then 0
+  else
+    match Value.compare_total a.(i) b.(i) with
+    | 0 -> compare_from a b (i + 1)
+    | c -> c
+
+let compare_rows a b = compare_from a b 0
 
 let equal_rows a b = compare_rows a b = 0
 
@@ -50,30 +51,23 @@ module Row_tbl = Hashtbl.Make (struct
   let hash = hash_row
 end)
 
-let key_of_values vs = String.concat "\x00" (List.map Value.to_string vs)
-let key_of_row (r : row) = key_of_values (Array.to_list r)
-
-let sort_rows ?(tick = fun () -> ()) rows =
-  List.sort
-    (fun a b ->
-      tick ();
-      compare_rows a b)
-    rows
+(* The oracles take [equal_bags]/[distinct_count] as their reference, so
+   these two sort privately instead of sharing [Row_tbl] with the
+   engine strategies they judge. *)
+let sorted rows = List.sort compare_rows rows
 
 let equal_bags a b =
   Schema.Relschema.union_compatible a.schema b.schema
   && List.length a.rows = List.length b.rows
-  &&
-  let sa = sort_rows a.rows and sb = sort_rows b.rows in
-  List.for_all2 (fun x y -> compare_rows x y = 0) sa sb
+  && List.for_all2 equal_rows (sorted a.rows) (sorted b.rows)
 
 let distinct_count t =
-  match sort_rows t.rows with
+  match sorted t.rows with
   | [] -> 0
   | first :: rest ->
     let count, _ =
       List.fold_left
-        (fun (n, prev) r -> if compare_rows prev r = 0 then (n, r) else (n + 1, r))
+        (fun (n, prev) r -> if equal_rows prev r then (n, r) else (n + 1, r))
         (1, first) rest
     in
     count

@@ -18,32 +18,26 @@ val cardinality : t -> int
 (** Lexicographic total order on rows (null-comparison per column). *)
 val compare_rows : row -> row -> int
 
-(** [compare_rows a b = 0] — the single row-equality notion every
-    duplicate-elimination strategy shares (two nulls are equal, and
-    [Int 1] equals [Float 1.0], as in [Value.compare_total]). *)
+(** [compare_rows a b = 0] — the engine's one row equality, the paper's
+    null-comparison [≐] per column: two nulls are equal, and [Int 1]
+    equals [Float 1.0], as in [Value.compare_total]. DISTINCT, key joins,
+    set operations and key constraints all decide equality here. *)
 val equal_rows : row -> row -> bool
 
 (** Hash consistent with {!equal_rows} (numerics hash through their float
     form so [Int 1] and [Float 1.0] collide on purpose). *)
 val hash_row : row -> int
 
-(** Hash table keyed by whole rows under {!equal_rows}/{!hash_row} — the
-    shared state container of hash-based duplicate elimination. *)
+(** Hash table keyed by value arrays under {!equal_rows}/{!hash_row} —
+    the engine's one key format. Duplicate elimination keys on whole
+    rows; hash joins, semi-joins, the [EXISTS] index and key-constraint
+    validation key on the extracted key columns. *)
 module Row_tbl : Hashtbl.S with type key = row
 
-(** Canonical ['\x00']-separated serialization of a value list — the one
-    key format used by hash joins, EXISTS indexes, and key-constraint
-    validation. *)
-val key_of_values : Sqlval.Value.t list -> string
-
-val key_of_row : row -> string
-
-(** Multiset equality: same rows with the same multiplicities. *)
+(** Multiset equality: same rows with the same multiplicities. Sorts
+    privately rather than through {!Row_tbl}, so the oracles that use it
+    as their reference share no state container with the engine. *)
 val equal_bags : t -> t -> bool
-
-(** Rows sorted; counts the comparisons through [tick] (one call per
-    row-to-row comparison). *)
-val sort_rows : ?tick:(unit -> unit) -> row list -> row list
 
 (** Distinct count of rows (for duplicate statistics). *)
 val distinct_count : t -> int

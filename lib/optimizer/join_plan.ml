@@ -293,3 +293,42 @@ let choose ?cache ?(trace = Trace.disabled) ?database ?stats cat
             ("stats", stats_source) ]
         ~children:step_nodes c.reason);
   c
+
+let merged ?(trace = Trace.disabled) c impl =
+  let merges =
+    match impl with
+    | Engine.Exec.Planned_join { jo_steps; _ } ->
+      List.filter_map
+        (fun (s : Engine.Exec.join_step) ->
+          if s.js_merge then Some s.js_leaf else None)
+        jo_steps
+    | Engine.Exec.Nested_join | Engine.Exec.Hash_join -> []
+  in
+  if merges = [] then c
+  else begin
+    (* a merge step takes precedence over its unique build *)
+    let merged_step st = List.mem st.leaf merges in
+    let names =
+      String.concat ", "
+        (List.filter_map
+           (fun st -> if merged_step st then Some st.leaf_name else None)
+           c.steps)
+    in
+    let unique_builds =
+      List.length
+        (List.filter (fun st -> st.unique_build && not (merged_step st)) c.steps)
+    in
+    let detail =
+      Printf.sprintf
+        "the order certificate runs the step into %s as a merge join, \
+         leaving %d unique build(s)"
+        names unique_builds
+    in
+    Trace.emitf trace (fun () ->
+        Trace.node ~rule:"planner.join.merge" ~verdict:Trace.Chosen
+          ~facts:
+            [ ("merge-joins", names);
+              ("unique-builds", string_of_int unique_builds) ]
+          detail);
+    { c with impl; unique_builds; reason = c.reason ^ "; " ^ detail }
+  end

@@ -70,3 +70,11 @@ val choose :
   Catalog.t ->
   Sql.Ast.query ->
   choice
+
+(** [merged c impl] — [c] as it runs under [impl], [Order_plan]'s upgrade
+    of [c.impl]: the steps flagged [js_merge] run as streaming merge
+    joins, which take precedence over their unique builds. The result
+    carries [impl], the unique builds that still run, and a reason naming
+    the merged steps; with [~trace] a [planner.join.merge] node says the
+    same. [c] itself when no step merges. *)
+val merged : ?trace:Trace.t -> choice -> Engine.Exec.join_impl -> choice

@@ -8,31 +8,25 @@ type t = {
 let choose ?cache ?(trace = Trace.disabled) ?database ?stats ?distinct ?join
     cat q =
   (* one grouping node per consulted authority, its nodes as children *)
-  let grouped rule decide =
-    let sub = Trace.child trace in
-    let c = decide sub in
+  let group rule sub =
     Trace.emitf trace (fun () ->
-        Trace.node ~rule ~children:(Trace.nodes sub) "strategy authority");
-    c
+        Trace.node ~rule ~children:(Trace.nodes sub) "strategy authority")
   in
   let distinct_choice, distinct_impl =
     match distinct with
     | Some impl -> (None, impl)
     | None ->
-      let c =
-        grouped "physical.distinct" (fun trace ->
-            Distinct_plan.choose ?cache ~trace ?database cat q)
-      in
+      let sub = Trace.child trace in
+      let c = Distinct_plan.choose ?cache ~trace:sub ?database cat q in
+      group "physical.distinct" sub;
       (Some c, c.Distinct_plan.impl)
   in
+  let join_sub = Trace.child trace in
   let join_choice, join_impl =
     match join with
     | Some impl -> (None, impl)
     | None ->
-      let c =
-        grouped "physical.join" (fun trace ->
-            Join_plan.choose ?cache ~trace ?database ?stats cat q)
-      in
+      let c = Join_plan.choose ?cache ~trace:join_sub ?database ?stats cat q in
       (Some c, c.Join_plan.impl)
   in
   (* the order certificate is issued under the strategies that run *)
@@ -40,10 +34,18 @@ let choose ?cache ?(trace = Trace.disabled) ?database ?stats ?distinct ?join
     { (Engine.Exec.default_config ()) with
       Engine.Exec.distinct_impl; join_impl }
   in
-  let order =
-    grouped "physical.order" (fun trace ->
-        Order_plan.choose ~trace ?database ~config ?stats cat q)
+  let order_sub = Trace.child trace in
+  let order = Order_plan.choose ~trace:order_sub ?database ~config ?stats cat q in
+  (* the join narrated is the one that runs, merge upgrades included *)
+  let join_choice =
+    Option.map
+      (fun c ->
+        let c = Join_plan.merged ~trace:join_sub c order.Order_plan.join_impl in
+        group "physical.join" join_sub;
+        c)
+      join_choice
   in
+  group "physical.order" order_sub;
   {
     config =
       { config with

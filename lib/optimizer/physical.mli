@@ -11,7 +11,8 @@ type t = {
   config : Engine.Exec.config;  (** the strategies to run, else defaults *)
   distinct : Distinct_plan.choice option;  (** [None] when forced *)
   join : Join_plan.choice option;
-      (** [None] when forced; before merge certification *)
+      (** [None] when forced; the join that runs, after [Order_plan]'s
+          merge upgrade ({!Join_plan.merged}) *)
   order : Order_plan.choice;
 }
 

@@ -71,10 +71,24 @@ let le3 = rel3 (fun c -> c <= 0)
 let gt3 = rel3 (fun c -> c > 0)
 let ge3 = rel3 (fun c -> c >= 0)
 
+(* The shortest decimal that reads back as the same float, kept
+   recognizably a float: [Float 1.0] prints [1.0], not the [Int 1]
+   lexeme [1]. *)
+let float_lexeme f =
+  let s =
+    List.find
+      (fun s -> Float.equal (float_of_string s) f)
+      [ Printf.sprintf "%.15g" f; Printf.sprintf "%.16g" f;
+        Printf.sprintf "%.17g" f ]
+  in
+  if String.exists (fun c -> c = '.' || c = 'e' || c = 'n' || c = 'i') s
+  then s
+  else s ^ ".0"
+
 let to_string = function
   | Null -> "NULL"
   | Int i -> string_of_int i
-  | Float f -> Printf.sprintf "%g" f
+  | Float f -> float_lexeme f
   | String s -> Printf.sprintf "'%s'" (String.concat "''" (String.split_on_char '\'' s))
   | Bool b -> if b then "TRUE" else "FALSE"
 

@@ -42,7 +42,10 @@ val ge3 : t -> t -> Truth.t
 
 val pp : Format.formatter -> t -> unit
 
-(** SQL literal syntax: strings quoted, [NULL] uppercase. *)
+(** SQL literal syntax: strings quoted, [NULL] uppercase, and a float as
+    the shortest decimal that reads back as the same float, with a [.0]
+    when it would otherwise read as an integer ([Float 1.0] is [1.0],
+    [Float 0.1000001] is [0.1000001]). *)
 val to_string : t -> string
 
 (** Type name used in error messages ("int", "string", ...). *)
@@ -52,5 +55,6 @@ val type_name : t -> string
     [uniqsql --set NAME=VALUE] bindings and the difftest corpus:
     [NULL] / [TRUE] / [FALSE] case-insensitively, then integer, float,
     quoted SQL string (['it''s'] undoubles), and finally a bare string.
-    Inverse of {!to_string} except that bare strings parse unquoted. *)
+    Inverse of {!to_string}: [of_sql_atom (to_string v)] has the type
+    and value of [v]. Bare strings also parse, unquoted. *)
 val of_sql_atom : string -> t

@@ -145,6 +145,88 @@ let test_setop_null_handling () =
   let r = run db "SELECT X.A FROM X INTERSECT SELECT Y.A FROM Y" in
   Alcotest.(check int) "null matches null" 1 (Relation.cardinality r)
 
+(* ---- one row equality: keys compare as values, not as printed text ---- *)
+
+let float_db () =
+  DB.create
+    (List.fold_left Catalog.add_ddl Catalog.empty
+       [ "CREATE TABLE T (K INT NOT NULL, A FLOAT, PRIMARY KEY (K))";
+         "CREATE TABLE U (K INT NOT NULL, B INT, PRIMARY KEY (K))" ])
+
+let test_int_float_equi_join () =
+  let db = float_db () in
+  DB.load db "T"
+    [ [| v_int 1; Value.Float 1234567. |]; [| v_int 2; Value.Float 0.1 |] ];
+  DB.load db "U" [ [| v_int 1; v_int 1234567 |]; [| v_int 2; v_int 0 |] ];
+  let q = "SELECT T.K, U.K FROM T, U WHERE T.A = U.B" in
+  let nested =
+    { (Exec.default_config ()) with Exec.join_impl = Exec.Nested_join }
+  in
+  let hashed = run db q in
+  Alcotest.(check bool) "hash join = nested join" true
+    (Relation.equal_bags hashed (run ~config:nested db q));
+  check_rows "Float 1234567. joins Int 1234567" [ [ v_int 1; v_int 1 ] ] hashed
+
+let test_setop_float_keys () =
+  let db = float_db () in
+  DB.load db "T"
+    [ [| v_int 1; Value.Float 0.1 |]; [| v_int 2; Value.Float 0.1000001 |] ];
+  let q op =
+    run db
+      (Printf.sprintf
+         "SELECT T.A FROM T WHERE T.A = 0.1 %s SELECT T.A FROM T WHERE T.A > \
+          0.1"
+         op)
+  in
+  List.iter
+    (fun op ->
+      check_rows (op ^ ": 0.1 is not 0.1000001") [] (q op))
+    [ "INTERSECT"; "INTERSECT ALL" ];
+  List.iter
+    (fun op ->
+      check_rows (op ^ ": 0.1 survives") [ [ Value.Float 0.1 ] ] (q op))
+    [ "EXCEPT"; "EXCEPT ALL" ]
+
+(* INTERSECT/EXCEPT [ALL] multiplicities against a list count: per value,
+   ALL keeps min(j, k) / max(j - k, 0) copies and DISTINCT at most one.
+   Values are counted under the null-comparison operator: NULL equals
+   NULL and Int 1 equals Float 1.0, but 0.1 is not 0.1000001. *)
+let prop_setop_multiplicities =
+  let value =
+    QCheck2.Gen.oneofl
+      [ Value.Null; v_int 0; v_int 1; Value.Float 1.0; Value.Float 0.1;
+        Value.Float 0.1000001 ]
+  in
+  let bag = QCheck2.Gen.(list_size (int_bound 6) value) in
+  QCheck2.Test.make ~name:"set operation multiplicities match a list count"
+    ~count:200
+    QCheck2.Gen.(pair bag bag)
+    (fun (xs, ys) ->
+      let db =
+        DB.create
+          (List.fold_left Catalog.add_ddl Catalog.empty
+             [ "CREATE TABLE X (K INT NOT NULL, A FLOAT, PRIMARY KEY (K))";
+               "CREATE TABLE Y (K INT NOT NULL, A FLOAT, PRIMARY KEY (K))" ])
+      in
+      let load t vs = DB.load db t (List.mapi (fun k v -> [| v_int k; v |]) vs) in
+      load "X" xs;
+      load "Y" ys;
+      let count v l = List.length (List.filter (Value.equal_null v) l) in
+      let values = List.sort_uniq Value.compare_total (xs @ ys) in
+      List.for_all
+        (fun (op, keep) ->
+          let r =
+            run db (Printf.sprintf "SELECT X.A FROM X %s SELECT Y.A FROM Y" op)
+          in
+          let got = List.map (fun row -> row.(0)) r.Relation.rows in
+          Relation.cardinality r
+          = List.fold_left (fun n v -> n + keep (count v xs) (count v ys)) 0 values
+          && List.for_all (fun v -> count v got = keep (count v xs) (count v ys)) values)
+        [ ("INTERSECT ALL", min);
+          ("EXCEPT ALL", fun j k -> max (j - k) 0);
+          ("INTERSECT", fun j k -> if j > 0 && k > 0 then 1 else 0);
+          ("EXCEPT", fun j k -> if j > 0 && k = 0 then 1 else 0) ])
+
 let test_hash_join_agrees_with_naive () =
   let db = Workload.Generator.supplier_db ~suppliers:30 ~parts_per_supplier:4 () in
   let queries =
@@ -266,6 +348,21 @@ let test_validate_unique_nulls () =
   let vs = DB.validate db in
   Alcotest.(check bool) "two nulls violate UNIQUE" true
     (List.exists (function DB.Duplicate_key _ -> true | _ -> false) vs)
+
+let test_validate_float_keys () =
+  let db =
+    DB.create
+      (Catalog.add_ddl Catalog.empty
+         "CREATE TABLE T (A FLOAT NOT NULL, PRIMARY KEY (A))")
+  in
+  DB.load db "T" [ [| Value.Float 0.1 |]; [| Value.Float 0.1000001 |] ];
+  Alcotest.(check int) "0.1 and 0.1000001 are distinct keys" 0
+    (List.length (DB.validate db));
+  DB.load db "T" [ [| v_int 1 |]; [| Value.Float 1.0 |] ];
+  Alcotest.(check bool) "Int 1 and Float 1.0 are one key" true
+    (List.exists
+       (function DB.Duplicate_key _ -> true | _ -> false)
+       (DB.validate db))
 
 (* ---- generated workload sanity ---- *)
 
@@ -509,6 +606,34 @@ let test_operator_semi_join () =
     [ [ 1 ] ]
     (List.map ints_of (Operator.to_rows anti_eq))
 
+let test_semi_join_counted_rewind () =
+  let stats = Stats.create () in
+  let op anti =
+    Operator.semi_join ~anti ~stats ~probe_key:[ 0 ] ~build_key:[ 0 ]
+      (Operator.of_rows (int_schema [ "A" ])
+         (List.map (fun i -> [| v_int i |]) [ 1; 1; 1; 2; 3 ]))
+      (Operator.of_rows (int_schema ~rel:"U" [ "K" ])
+         (List.map (fun i -> [| v_int i |]) [ 1; 1; 2 ]))
+  in
+  let drain op =
+    let rec go acc =
+      match Operator.next op with
+      | Some r -> go (ints_of r :: acc)
+      | None -> List.rev acc
+    in
+    go []
+  in
+  List.iter
+    (fun (anti, expected) ->
+      let j = op anti in
+      Alcotest.(check (list (list int))) "each build row cancels one probe row"
+        expected (drain j);
+      Operator.rewind j;
+      Alcotest.(check (list (list int))) "rewind restores the counts" expected
+        (drain j);
+      Operator.close j)
+    [ (false, [ [ 1 ]; [ 1 ]; [ 2 ] ]); (true, [ [ 1 ]; [ 3 ] ]) ]
+
 (* ---- planned join orders and the bounded scan cache ---- *)
 
 let test_planned_join_orders_agree () =
@@ -609,20 +734,28 @@ let test_scan_cache_bounded () =
   let db =
     Workload.Generator.supplier_db ~suppliers:10 ~parts_per_supplier:2 ()
   in
+  (* one more SUPPLIER occurrence than a statement's scan cache holds (64
+     entries): the scan of S0 is evicted before the statement ends *)
+  let n = 65 in
   let q =
-    "SELECT S.SNO FROM SUPPLIER S, PARTS P, AGENTS A WHERE S.SNO = P.SNO \
-     AND A.SNO = S.SNO"
+    Printf.sprintf "SELECT S0.SNO FROM %s WHERE %s"
+      (String.concat ", " (List.init n (Printf.sprintf "SUPPLIER S%d")))
+      (String.concat " AND "
+         (List.init (n - 1) (fun i ->
+              Printf.sprintf "S%d.SNO = S%d.SNO" i (i + 1))))
   in
-  let baseline = run db q in
-  let cfg = { (Exec.default_config ()) with Exec.scan_cache_capacity = 1 } in
+  let cfg = Exec.default_config () in
   let r = run ~config:cfg db q in
-  Alcotest.(check bool) "capacity-1 cache still correct" true
-    (Relation.equal_bags baseline r);
+  Alcotest.(check bool) "overflowing cache still correct" true
+    (Relation.equal_bags (run db "SELECT S.SNO FROM SUPPLIER S") r);
   Alcotest.(check bool) "evictions counted" true
     (cfg.Exec.stats.Stats.scan_cache_evictions > 0);
   let cfg2 = Exec.default_config () in
-  ignore (run ~config:cfg2 db q);
-  Alcotest.(check int) "no evictions at the default capacity" 0
+  ignore
+    (run ~config:cfg2 db
+       "SELECT S.SNO FROM SUPPLIER S, PARTS P, AGENTS A WHERE S.SNO = P.SNO \
+        AND A.SNO = S.SNO");
+  Alcotest.(check int) "no evictions below the bound" 0
     cfg2.Exec.stats.Stats.scan_cache_evictions
 
 (* ---- duplicate-elimination strategies under the full executor ---- *)
@@ -808,6 +941,11 @@ let () =
             test_except_distinct_and_all;
           Alcotest.test_case "set ops equate nulls" `Quick
             test_setop_null_handling;
+          Alcotest.test_case "hash join keys compare Int with Float" `Quick
+            test_int_float_equi_join;
+          Alcotest.test_case "set ops tell 0.1 from 0.1000001" `Quick
+            test_setop_float_keys;
+          QCheck_alcotest.to_alcotest prop_setop_multiplicities;
           Alcotest.test_case "hash join agrees with naive" `Quick
             test_hash_join_agrees_with_naive;
           Alcotest.test_case "hash join ignores NULL keys" `Quick
@@ -825,6 +963,8 @@ let () =
           Alcotest.test_case "check constraint" `Quick test_validate_check;
           Alcotest.test_case "unique with nulls" `Quick
             test_validate_unique_nulls;
+          Alcotest.test_case "float keys compare as values" `Quick
+            test_validate_float_keys;
         ] );
       ( "workload",
         [
@@ -860,6 +1000,8 @@ let () =
             test_operator_hash_join_rewind;
           Alcotest.test_case "semi_join and anti variants" `Quick
             test_operator_semi_join;
+          Alcotest.test_case "counted semi_join replays after rewind" `Quick
+            test_semi_join_counted_rewind;
         ] );
       ( "join",
         [

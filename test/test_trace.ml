@@ -178,6 +178,49 @@ let test_order_section_matches_physical () =
       (List.assoc_opt "sorts" e.Explain.counters)
   | [] -> Alcotest.fail "no execution recorded"
 
+(* The join narration describes the join that runs: here Order_plan
+   upgrades the certified unique build into S to a merge join (both
+   scans arrive sorted on SNO), and the run line, the explain section and
+   the executed strategy must all say so. *)
+let test_join_section_matches_physical () =
+  let db =
+    Workload.Generator.supplier_db ~suppliers:30 ~parts_per_supplier:5 ()
+  in
+  let cat = Engine.Database.catalog db in
+  let q =
+    Sql.Parser.parse_query
+      "SELECT S.SNAME, P.PNO FROM SUPPLIER S, PARTS P WHERE S.SNO = P.SNO \
+       AND P.COLOR = 'RED'"
+  in
+  let p = Optimizer.Physical.choose ~database:db cat q in
+  let join = Option.get p.Optimizer.Physical.join in
+  Alcotest.(check bool) "join reason names the merge join" true
+    (contains join.Optimizer.Join_plan.reason "into S as a merge join");
+  Alcotest.(check int) "no unique build runs" 0
+    join.Optimizer.Join_plan.unique_builds;
+  Alcotest.(check bool) "narrated plan is the plan that runs" true
+    (join.Optimizer.Join_plan.impl
+     = p.Optimizer.Physical.config.Engine.Exec.join_impl);
+  let config = p.Optimizer.Physical.config in
+  ignore (Engine.Exec.run_query ~config db ~hosts:[] q);
+  Alcotest.(check string) "executed strategy" "merge-join"
+    config.Engine.Exec.stats.Engine.Stats.join_strategy;
+  let report = Explain.explain ~database:db cat q in
+  let section =
+    List.find (fun s -> s.Explain.title = "join-strategy")
+      report.Explain.sections
+  in
+  let merged =
+    List.find_map
+      (fun (n : Trace.node) ->
+        if n.rule = "planner.join.merge" then
+          List.assoc_opt "merge-joins" n.facts
+        else None)
+      section.Explain.nodes
+  in
+  Alcotest.(check (option string)) "join section names the merged step"
+    (Some "S") merged
+
 (* ---- fuzz hook: tracing must never change behaviour ---- *)
 
 let rng_of seed = Random.State.make [| seed |]
@@ -242,5 +285,7 @@ let () =
          Alcotest.test_case "deterministic" `Quick test_report_deterministic;
          Alcotest.test_case "set operations" `Quick test_setop_report;
          Alcotest.test_case "order section matches the composed plan" `Quick
-           test_order_section_matches_physical ]);
+           test_order_section_matches_physical;
+         Alcotest.test_case "join section matches the composed plan" `Quick
+           test_join_section_matches_physical ]);
       ("fuzz", qsuite) ]
